@@ -5,8 +5,14 @@ H0: theta = theta_t is rejected at an inflated level alpha'.  The formula
 for alpha' depends on whether the null region is a manifold without
 boundary (equality constraints only) or with boundary (an additional
 scalar inequality constraint).
+
+alpha' depends only on (alpha, NullSpec), never on the data, so both
+formulas are memoized per process: the first call for a given level and
+geometry computes it, later calls return the stored value.  A call that
+raises is not stored, so an invalid level raises on every call.
 """
 
+import functools
 from dataclasses import dataclass
 
 from pwreject.distributions import chi2_cdf, chi2_quantile
@@ -42,6 +48,7 @@ class NullSpec:
             )
 
 
+@functools.lru_cache(maxsize=128)
 def alpha_prime_no_boundary(alpha, spec):
     """alpha' for a null region that is a manifold without boundary.
 
@@ -61,6 +68,7 @@ def alpha_prime_no_boundary(alpha, spec):
     return 1.0 - chi2_cdf(q, spec.d1)
 
 
+@functools.lru_cache(maxsize=128)
 def alpha_prime_with_boundary(alpha, spec):
     """alpha' for a null region that is a manifold with boundary.
 

@@ -13,6 +13,7 @@ boundaryless subspace variant used for the equivalence check with the
 traditional LRT live here too.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -41,23 +42,53 @@ SUBSPACE_SPEC = NullSpec(d1=5, d0=3, has_boundary=False)
 
 @dataclass(frozen=True)
 class MvnSample:
+    """An (n, 5) sample and the statistics every test on it shares.
+
+    ``rows`` is a private read-only copy of the caller's array, so the
+    sample mean, its projection onto the null and the split-half means are
+    each computed once, on first use, and stay valid.  The arrays they
+    return are read-only too.
+    """
+
     rows: np.ndarray
 
     def __init__(self, rows):
-        arr = np.asarray(rows, dtype=float)
+        arr = np.array(rows, dtype=float)
         if arr.ndim != 2 or arr.shape[1] != DIM:
             raise ValueError("need an (n, 5) array of observations")
         if arr.shape[0] < 1:
             raise ValueError("need at least one observation")
+        arr.flags.writeable = False
         object.__setattr__(self, "rows", arr)
 
     @property
     def n(self):
         return self.rows.shape[0]
 
-    @property
+    @functools.cached_property
     def mean(self):
-        return self.rows.mean(axis=0)
+        return _read_only(self.rows.mean(axis=0))
+
+    @functools.cached_property
+    def null_projection(self):
+        """The sample mean projected onto the ball-and-subspace null."""
+        return _read_only(project_to_null(self.mean))
+
+    @functools.cached_property
+    def split_means(self):
+        """(n1, mean of the first n1 rows, mean of the rest), n1 = ceil(n / 2)."""
+        n = self.n
+        if n < 2:
+            raise ValueError("need n >= 2 so both splits are nonempty")
+        n1 = (n + 1) // 2
+        m1 = self.rows[:n1].mean(axis=0)
+        m2 = self.rows[n1:].mean(axis=0)
+        return n1, _read_only(m1), _read_only(m2)
+
+
+def _read_only(arr):
+    arr.flags.writeable = False
+    return arr
 
 
 def project_to_null(ybar):
@@ -88,7 +119,7 @@ def mvn_simple_p_value(sample, theta_t):
 def ball_pointwise_test(sample, alpha):
     """Pointwise test of the ball-and-subspace null at the projection point."""
     ap = alpha_prime_with_boundary(alpha, BALL_SPEC)
-    p = mvn_simple_p_value(sample, project_to_null(sample.mean))
+    p = mvn_simple_p_value(sample, sample.null_projection)
     return TestDecision(p <= ap, p, ap, 1)
 
 
@@ -98,14 +129,7 @@ def _split_log_ratios(sample, theta_t):
     log U1 = l(theta_hat_2; Y1) - l(theta_t; Y1); constants cancel, leaving
     (n1 / 2) * (||ybar1 - theta_t||^2 - ||ybar1 - theta_hat_2||^2).
     """
-    n = sample.n
-    if n < 2:
-        raise ValueError("need n >= 2 so both splits are nonempty")
-    n1 = (n + 1) // 2
-    y1 = sample.rows[:n1]
-    y2 = sample.rows[n1:]
-    m1 = y1.mean(axis=0)
-    m2 = y2.mean(axis=0)
+    n1, m1, m2 = sample.split_means
     theta_t = np.asarray(theta_t)
 
     def log_u(held_mean, held_count, est_mean):
@@ -114,12 +138,12 @@ def _split_log_ratios(sample, theta_t):
             - float(np.sum((held_mean - est_mean) ** 2))
         )
 
-    return log_u(m1, n1, m2), log_u(m2, n - n1, m1)
+    return log_u(m1, n1, m2), log_u(m2, sample.n - n1, m1)
 
 
 def split_lrt_test(sample, alpha):
     """Universal split LRT at the single projection test point."""
-    log_u1, _ = _split_log_ratios(sample, project_to_null(sample.mean))
+    log_u1, _ = _split_log_ratios(sample, sample.null_projection)
     # U1 > 1/alpha expressed through the e-value's implied p-value 1/U1.
     p = math.exp(-log_u1) if log_u1 > 0.0 else 1.0
     return TestDecision(p < alpha, min(p, 1.0), alpha, 1)
@@ -127,7 +151,7 @@ def split_lrt_test(sample, alpha):
 
 def cross_fit_lrt_test(sample, alpha):
     """Universal cross-fit LRT: (U1 + U2) / 2 compared with 1/alpha."""
-    log_u1, log_u2 = _split_log_ratios(sample, project_to_null(sample.mean))
+    log_u1, log_u2 = _split_log_ratios(sample, sample.null_projection)
     log_avg = np.logaddexp(log_u1, log_u2) - math.log(2.0)
     p = math.exp(-log_avg) if log_avg > 0.0 else 1.0
     return TestDecision(p < alpha, min(p, 1.0), alpha, 1)

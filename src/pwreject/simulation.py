@@ -24,6 +24,8 @@ __all__ = ["ExperimentConfig", "ExperimentResult", "run_experiment", "run_suite"
 MODES = ("type1", "power", "coverage")
 
 _MODEL_MIN_N = {"interval": 2, "or_null": 4, "nuisance": 3, "ball": 1}
+# Sample splitting needs a nonempty half on each side.
+_METHOD_MIN_N = {"split_lrt": 2, "crossfit_lrt": 2}
 
 
 @dataclass(frozen=True)
@@ -56,6 +58,12 @@ class ExperimentConfig:
             )
         if not self.methods:
             raise ValueError("at least one method is required")
+        for method in self.methods:
+            if self.n < _METHOD_MIN_N.get(method, 1):
+                raise ValueError(
+                    "n=%d is below the %r method minimum %d"
+                    % (self.n, method, _METHOD_MIN_N[method])
+                )
 
 
 @dataclass(frozen=True)

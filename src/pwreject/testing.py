@@ -19,13 +19,21 @@ class TestDecision:
     """Outcome of a composite test: reject iff max_p <= alpha_prime_used.
 
     n_points == 0 marks a closed-form decision over a continuum of test
-    points rather than a finite list.
+    points rather than a finite list.  Fields are stored as Python
+    ``bool``, ``float`` and ``int`` whatever numpy scalars the caller
+    passes, so a decision serializes as JSON.
     """
 
     reject: bool
     max_p: float
     alpha_prime_used: float
     n_points: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "reject", bool(self.reject))
+        object.__setattr__(self, "max_p", float(self.max_p))
+        object.__setattr__(self, "alpha_prime_used", float(self.alpha_prime_used))
+        object.__setattr__(self, "n_points", int(self.n_points))
 
 
 def max_p_value(tester, points):

@@ -201,8 +201,8 @@ def test_criterion_7_nuisance_coverage():
     assert record(7, "nuisance-model coverage", ok,
                   "coverage bands and bias ordering hold" if ok else "; ".join(misses)), (
         "Known honest failure at n=5: with the specified proxy grid the "
-        "region coverage at n=5 is ~90%%; see the decisions ledger for the "
-        "blocking analysis. Misses: %s" % "; ".join(misses)
+        "region coverage at n=5 is ~90%%; see the n=5 analysis in ROADMAP.md "
+        "(North star item 3, open item 3). Misses: %s" % "; ".join(misses)
     )
 
 
@@ -231,7 +231,7 @@ def test_criterion_8_nuisance_type1():
                   "; ".join(misses) if misses else "; ".join(details)), (
         "Known honest failure at n=5: the procedure's exact finite-sample "
         "size at n=5 is ~8-11%% under any natural covariate design; see the "
-        "decisions ledger for the blocking analysis. Details: %s" % "; ".join(details)
+        "n=5 analysis in ROADMAP.md (North star item 3, open item 3). Details: %s" % "; ".join(details)
     )
 
 

@@ -88,6 +88,41 @@ class TestDegenerateAndErrors:
             NullSpec(2, 2)  # full-dimensional without boundary
 
 
+def _spec_grid():
+    """Every (alpha, spec, function) the reference grids above exercise."""
+    for alpha in (0.01, 0.05, 0.1):
+        for d1 in range(1, 7):
+            for d0 in range(0, d1):
+                yield alpha, NullSpec(d1, d0), alpha_prime_no_boundary
+            for d0 in range(1, d1 + 1):
+                yield alpha, NullSpec(d1, d0, has_boundary=True), alpha_prime_with_boundary
+
+
+class TestMemoization:
+    def test_cached_value_equals_uncached(self):
+        for alpha, spec, fn in _spec_grid():
+            first = fn(alpha, spec)
+            again = fn(alpha, spec)
+            assert first == again == fn.__wrapped__(alpha, spec)
+
+    def test_repeated_call_is_a_cache_hit(self):
+        spec = NullSpec(5, 3, has_boundary=True)
+        alpha_prime_with_boundary(0.05, spec)
+        hits = alpha_prime_with_boundary.cache_info().hits
+        alpha_prime_with_boundary(0.05, spec)
+        assert alpha_prime_with_boundary.cache_info().hits == hits + 1
+
+    def test_invalid_alpha_raises_every_call(self):
+        boundary = NullSpec(5, 3, has_boundary=True)
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                alpha_prime_with_boundary(0.5, boundary)
+            with pytest.raises(ValueError):
+                alpha_prime_no_boundary(0.0, NullSpec(2, 1))
+            with pytest.raises(ValueError):
+                alpha_prime_no_boundary(0.05, boundary)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     alpha=st.floats(0.005, 0.2),

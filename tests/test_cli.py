@@ -79,6 +79,27 @@ class TestTestCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["reject"] is False and payload["max_p"] == pytest.approx(1.0)
 
+    def test_json_output_every_model(self, tmp_path, capsys):
+        g = RngStream(3).generator
+        n = 12
+        x = g.standard_normal((n, 2))
+        datasets = {
+            "interval": (["y"], g.standard_normal((n, 1))),
+            "or_null": (["x1", "x2", "y"],
+                        np.column_stack([x, x @ [1.0, 2.0] + g.standard_normal(n)])),
+            "nuisance": (["x", "y"],
+                         np.column_stack([x[:, 0], 2.0 * x[:, 0] + 4.0 + g.standard_normal(n)])),
+            "ball": (["y1", "y2", "y3", "y4", "y5"], g.standard_normal((n, 5))),
+        }
+        for model, (header, rows) in datasets.items():
+            path = write_csv(tmp_path / (model + ".csv"), header, rows.tolist())
+            assert main(["test", "--model", model, "--data", path, "--format", "json"]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["model"] == model
+            assert isinstance(payload["reject"], bool)
+            assert 0.0 <= payload["max_p"] <= 1.0
+            assert isinstance(payload["n_points"], int)
+
     def test_missing_column_exits_2(self, tmp_path, capsys):
         path = write_csv(tmp_path / "bad.csv", ["z"], [[1.0], [2.0]])
         assert main(["test", "--model", "interval", "--data", path]) == 2

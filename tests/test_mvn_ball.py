@@ -145,6 +145,45 @@ class TestSubspace:
         )
 
 
+class TestSampleIsolation:
+    def test_caller_array_changes_do_not_leak(self):
+        g = RngStream(8).generator
+        src = np.asarray([1.2, 0, 0, 0, 0]) + g.standard_normal((12, mb.DIM))
+        s = mb.MvnSample(src)
+        tests = (mb.ball_pointwise_test, mb.split_lrt_test, mb.cross_fit_lrt_test,
+                 mb.subspace_pointwise_test, mb.subspace_lrt_test)
+        before = [t(s, 0.05) for t in tests]
+        mean = s.mean.copy()
+        src[:] = 100.0
+        assert np.array_equal(s.mean, mean)
+        assert np.array_equal(s.rows.mean(axis=0), mean)
+        assert [t(s, 0.05) for t in tests] == before
+        assert before == [t(mb.MvnSample(s.rows), 0.05) for t in tests]
+
+    def test_statistics_are_read_only(self):
+        s = make_sample(n=6)
+        n1, m1, m2 = s.split_means
+        for arr in (s.rows, s.mean, s.null_projection, m1, m2):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        with pytest.raises(ValueError):
+            s.mean += 1.0
+
+    def test_shared_statistics_match_direct_computation(self):
+        s = make_sample(seed=3, n=11, theta=(1.5, 0, 0, 0, 0))
+        n1, m1, m2 = s.split_means
+        assert n1 == 6
+        assert np.array_equal(m1, s.rows[:6].mean(axis=0))
+        assert np.array_equal(m2, s.rows[6:].mean(axis=0))
+        assert np.array_equal(s.null_projection, mb.project_to_null(s.rows.mean(axis=0)))
+
+    def test_split_needs_two_rows(self):
+        s = mb.MvnSample(np.zeros((1, 5)))
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                mb.split_lrt_test(s, 0.05)
+
+
 def test_sample_validation():
     with pytest.raises(ValueError):
         mb.MvnSample(np.zeros((3, 4)))

@@ -92,6 +92,20 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_experiment(config(methods=("nope",)))
 
+    def test_split_methods_need_two_observations(self):
+        # Sample splitting at n = 1 leaves an empty half; the config must
+        # refuse it instead of run_experiment crashing mid-run.
+        ball = dict(model="ball", truth=(1, 0, 0, 0, 0), m=1, n=1)
+        for method in ("split_lrt", "crossfit_lrt"):
+            with pytest.raises(ValueError, match=method):
+                config(methods=("pointwise", method), **ball)
+        res = run_experiment(config(methods=("pointwise",), replicates=20, **ball))
+        assert 0.0 <= res.rates["pointwise"] <= 1.0
+        res = run_experiment(config(
+            methods=("split_lrt", "crossfit_lrt"), replicates=20, **dict(ball, n=2)
+        ))
+        assert set(res.rates) == {"split_lrt", "crossfit_lrt"}
+
 
 class TestRunSuite:
     def test_row_schema_and_determinism(self):
