@@ -7,8 +7,8 @@ size at the target alpha, for null regions with or without boundary.
 
 from pwreject.alpha_prime import NullSpec, alpha_prime
 from pwreject.kernels import BACKEND as KERNEL_BACKEND
-from pwreject.regions import Region1D, build_region
-from pwreject.testing import TestDecision, lrt_decision_subspace, max_p_value, pointwise_test
+from pwreject.regions import Region1D
+from pwreject.testing import TestDecision, lrt_decision_subspace, pointwise_test
 
 __version__ = "0.1.0"
 
@@ -16,11 +16,9 @@ __all__ = [
     "NullSpec",
     "alpha_prime",
     "TestDecision",
-    "max_p_value",
     "pointwise_test",
     "lrt_decision_subspace",
     "Region1D",
-    "build_region",
     "KERNEL_BACKEND",
     "__version__",
 ]

@@ -46,6 +46,8 @@ def _load_columns(path, names):
     if not rows:
         raise CliError("no data rows in %s" % (path,))
     cols = np.asarray(rows, dtype=float).T
+    if not np.isfinite(cols).all():
+        raise CliError("non-finite value (nan or inf) in %s" % (path,))
     return [cols[i] for i in range(len(names))]
 
 

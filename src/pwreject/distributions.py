@@ -131,16 +131,3 @@ class RngStream:
         """i.i.d. N(0, 1) draws (scalar when size is None)."""
         out = self.generator.standard_normal(size)
         return float(out) if size is None else out
-
-    def mvn_identity(self, dim):
-        """One draw from N(0, I_dim)."""
-        return self.generator.standard_normal(dim)
-
-
-# Convenience functions mirroring the stream methods.
-def standard_normal_sample(stream):
-    return stream.standard_normal()
-
-
-def mvn_identity_sample(stream, dim):
-    return stream.mvn_identity(dim)

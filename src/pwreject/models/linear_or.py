@@ -21,7 +21,7 @@ __all__ = ["RegressionData", "OlsFit", "ols3_fit", "f_point_p_value", "or_null_t
 NULL_SPEC = NullSpec(d1=2, d0=2, has_boundary=True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegressionData:
     x1: np.ndarray
     x2: np.ndarray
@@ -44,7 +44,7 @@ class RegressionData:
         return self.y.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OlsFit:
     coefficients: np.ndarray
     fitted: np.ndarray

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from pwreject.alpha_prime import NullSpec, alpha_prime_no_boundary, alpha_prime_with_boundary
-from pwreject.distributions import chi2_cdf, chi2_quantile
-from pwreject.testing import TestDecision
+from pwreject.distributions import chi2_cdf
+from pwreject.testing import TestDecision, lrt_decision_subspace
 
 __all__ = [
     "MvnSample",
@@ -40,7 +40,7 @@ BALL_SPEC = NullSpec(d1=5, d0=3, has_boundary=True)
 SUBSPACE_SPEC = NullSpec(d1=5, d0=3, has_boundary=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MvnSample:
     """An (n, 5) sample and the statistics every test on it shares.
 
@@ -172,6 +172,4 @@ def subspace_neg2_log_lambda(sample):
 
 def subspace_lrt_test(sample, alpha):
     """Traditional LRT for the subspace null (exact under known covariance)."""
-    stat = subspace_neg2_log_lambda(sample)
-    reject = stat >= chi2_quantile(1.0 - alpha, 2)
-    return TestDecision(reject, 1.0 - chi2_cdf(stat, 2), alpha, 0)
+    return lrt_decision_subspace(subspace_neg2_log_lambda(sample), SUBSPACE_SPEC, alpha)

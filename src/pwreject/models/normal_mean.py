@@ -28,7 +28,7 @@ class DegenerateSampleError(ValueError):
     """Sample standard deviation is zero; the t statistic is undefined."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UnivariateSample:
     values: np.ndarray
 

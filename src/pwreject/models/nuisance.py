@@ -42,7 +42,7 @@ class DegenerateFitError(ValueError):
     """OLS estimates make the (psi, phi) reparameterization singular."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class XYData:
     x: np.ndarray
     y: np.ndarray

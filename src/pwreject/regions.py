@@ -1,16 +1,14 @@
-"""One-dimensional region algebra and the generic confidence-region builder.
+"""One-dimensional region algebra.
 
 A Region1D is a canonical union of disjoint closed intervals.  Confidence
-regions for a scalar parameter of interest are built by unioning, over
-proxy nuisance values, the parameter sets not rejected at the modified
-level alpha'.
+regions for a scalar parameter of interest are unions, over proxy nuisance
+values, of the parameter sets not rejected at the modified level alpha'
+(see :func:`pwreject.models.nuisance.psi_region_F`).
 """
 
 from dataclasses import dataclass
 
-from pwreject.alpha_prime import NullSpec, alpha_prime_no_boundary
-
-__all__ = ["Region1D", "build_region"]
+__all__ = ["Region1D"]
 
 
 @dataclass(frozen=True, init=False)
@@ -66,18 +64,3 @@ def union_all(regions):
     for r in regions:
         out = out.union(r)
     return out
-
-
-def build_region(psi_solver, proxy_points, alpha, d_psi=1, d_phi=1):
-    """Confidence region for psi by union over proxy nuisance values.
-
-    ``psi_solver(phi_t, alpha_prime) -> Region1D`` returns the set of psi
-    values not rejected at level alpha' when the nuisance is pinned at
-    phi_t.  alpha' comes from the boundaryless formula with d1 = d_psi +
-    d_phi and d0 = d_phi.
-    """
-    if not proxy_points:
-        raise ValueError("at least one proxy point is required")
-    spec = NullSpec(d1=d_psi + d_phi, d0=d_phi, has_boundary=False)
-    ap = alpha_prime_no_boundary(alpha, spec)
-    return union_all(psi_solver(phi_t, ap) for phi_t in proxy_points)

@@ -2,14 +2,11 @@
 
 Each replicate r draws its own RNG stream from (master_seed, r), generates
 one dataset under the configured truth, and applies every requested method
-to that same dataset.  Aggregation is pure counting, so results do not
-depend on execution order or on the worker count (set via the
-PWREJECT_WORKERS environment variable).
+to that same dataset.  Replicates run serially and aggregation is pure
+counting, so a seed fixes every rate bit for bit.
 """
 
-import concurrent.futures
 import math
-import os
 import time
 from dataclasses import dataclass
 
@@ -137,40 +134,21 @@ def _method_fn(config, method):
     raise ValueError("method %r not available for model %r" % (method, model))
 
 
-def _run_chunk(config, fns, start, stop):
+def run_experiment(config):
+    """Run one Monte Carlo experiment; returns per-method rates and margins."""
+    start_time = time.perf_counter()
+    fns = [_method_fn(config, method) for method in config.methods]
     counts = [0] * len(fns)
     flagged = 0
-    for r in range(start, stop):
-        stream = RngStream(config.master_seed, r)
-        data = _generate(config, stream)
+    for r in range(config.replicates):
+        data = _generate(config, RngStream(config.master_seed, r))
         try:
             for i, fn in enumerate(fns):
                 if fn(data):
                     counts[i] += 1
         except nuisance.DegenerateFitError:
             flagged += 1
-    return counts, flagged
-
-
-def run_experiment(config):
-    """Run one Monte Carlo experiment; returns per-method rates and margins."""
-    start_time = time.perf_counter()
-    fns = [_method_fn(config, method) for method in config.methods]
-    workers = int(os.environ.get("PWREJECT_WORKERS", "1"))
-    reps = config.replicates
-    if workers <= 1:
-        chunks = [_run_chunk(config, fns, 0, reps)]
-    else:
-        bounds = np.linspace(0, reps, workers + 1).astype(int)
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_run_chunk, config, fns, int(lo), int(hi))
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-            ]
-            chunks = [f.result() for f in futures]
-    counts = [sum(c[i] for c, _ in chunks) for i in range(len(fns))]
-    flagged = sum(fl for _, fl in chunks)
-    effective = reps - flagged
+    effective = config.replicates - flagged
     if effective < 1:
         raise RuntimeError("all replicates were flagged as degenerate")
     rates = {m: counts[i] / effective for i, m in enumerate(config.methods)}

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from pwreject.alpha_prime import alpha_prime
 from pwreject.distributions import chi2_cdf, chi2_quantile
 
-__all__ = ["TestDecision", "max_p_value", "pointwise_test", "lrt_decision_subspace"]
+__all__ = ["TestDecision", "pointwise_test", "lrt_decision_subspace"]
 
 
 @dataclass(frozen=True)
@@ -36,42 +36,15 @@ class TestDecision:
         object.__setattr__(self, "n_points", int(self.n_points))
 
 
-def max_p_value(tester, points):
-    """Maximum simple-null p-value over the test points."""
-    best = None
-    for point in points:
-        p = tester(point)
-        if best is None or p > best:
-            best = p
-    if best is None:
-        raise ValueError("at least one test point is required")
-    return best
-
-
-def pointwise_test(tester, points, spec, alpha, early_exit=False):
+def pointwise_test(tester, points, spec, alpha):
     """Composite test: reject iff every point's p-value is <= alpha'.
 
-    With ``early_exit`` the scan stops at the first p-value above alpha';
-    the decision is unchanged but the reported max_p is then only the
-    first exceeding value, not necessarily the overall maximum.
+    That is the maximum p-value over the test points against alpha'.  An
+    empty list of points raises ``ValueError``.
     """
     ap = alpha_prime(alpha, spec)
-    if early_exit:
-        best = None
-        count = 0
-        for point in points:
-            p = tester(point)
-            count += 1
-            if best is None or p > best:
-                best = p
-            if p > ap:
-                break
-        if best is None:
-            raise ValueError("at least one test point is required")
-        return TestDecision(best <= ap, best, ap, count)
-    n = len(points)
-    best = max_p_value(tester, points)
-    return TestDecision(best <= ap, best, ap, n)
+    best = max(map(tester, points))
+    return TestDecision(best <= ap, best, ap, len(points))
 
 
 def lrt_decision_subspace(neg2_log_lambda, spec, alpha):

@@ -132,4 +132,4 @@ class TestRngStream:
     def test_scalar_and_vector(self):
         s = d.RngStream(7)
         assert isinstance(s.standard_normal(), float)
-        assert d.RngStream(7, 2).mvn_identity(5).shape == (5,)
+        assert d.RngStream(7, 2).standard_normal(5).shape == (5,)

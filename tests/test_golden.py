@@ -20,6 +20,8 @@ SCALE = 0.002
 GOLDEN_SHA256 = {
     "table1": "c465593765dc9297f724ad9834eaf48b5647e99895f8fa5f195eed8b7d73d1b2",
     "table2": "955f8fe7d42a65ebe781621613ad151fc855c2e954642892b7ec06a44de66724",
+    "fig1": "c71c5ec13316a4a6f852e66470114c9ce7077d41161fbf602d4809f25eab4245",
+    "fig2": "7069ff1096fa09d22f23c7aa019f15f7e0d49cf2d069db8c5a7df6338b1f9b2b",
     "fig3": "9a683c6472780a523ae6b5d582aefbe2c631f053afcec06db864c580225f09c6",
     "fig4": "285245c03fd225a2de3d330ca3904be3edb222c26d2edcae838c2539e12fffa6",
     "fig5": "32249d06f678389cfcfc18720b867f0e94518b804d2e61b296d5a3f039150169",

@@ -6,6 +6,7 @@ import pytest
 import oracles
 from pwreject.distributions import RngStream
 from pwreject.models import linear_or as lo
+from pwreject.testing import pointwise_test
 
 
 def make_data(seed=0, n=30, b1=1.0, b2=0.0, b0=0.0):
@@ -65,21 +66,22 @@ class TestBoundaryPoints:
 
 class TestOrNullTest:
     def test_max_p_matches_explicit_scan(self):
-        # The vectorized min-RSS shortcut must equal a literal max over the
-        # per-point p-values.
+        # The vectorized min-RSS shortcut must match the generic engine run
+        # over the per-point p-values of every boundary test point.
         for seed in range(25):
             data = make_data(seed=seed, n=12, b1=0.8, b2=0.6)
             fit = lo.ols3_fit(data)
             if fit.coefficients[1] <= 0 or fit.coefficients[2] <= 0:
                 continue
             dec = lo.or_null_test(data, 0.05, 7)
-            explicit = max(
-                lo.f_point_p_value(data, b1t, b2t, fit)
-                for b1t, b2t in lo.boundary_test_points(fit, 7)
+            ref = pointwise_test(
+                lambda point: lo.f_point_p_value(data, *point, fit),
+                lo.boundary_test_points(fit, 7), lo.NULL_SPEC, 0.05,
             )
-            assert dec.max_p == pytest.approx(explicit, abs=1e-12)
-            assert dec.n_points == 14
-            assert dec.reject == (dec.max_p <= dec.alpha_prime_used)
+            assert dec.max_p == pytest.approx(ref.max_p, abs=1e-12)
+            assert dec.reject == ref.reject
+            assert dec.alpha_prime_used == ref.alpha_prime_used
+            assert dec.n_points == ref.n_points == 14
 
     def test_alpha_prime_value(self):
         dec = lo.or_null_test(make_data(), 0.05, 3)

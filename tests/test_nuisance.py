@@ -7,6 +7,7 @@ import pytest
 
 from pwreject.distributions import RngStream, f_quantile
 from pwreject.models import nuisance as nu
+from pwreject.testing import pointwise_test
 
 
 def make_data(seed=0, n=30, psi=1.0, phi=2.0, sigma=1.0):
@@ -128,17 +129,21 @@ class TestRegions:
 
 class TestPointwiseAndLrtTests:
     def test_max_p_matches_explicit_grid(self):
+        # The vectorized min-RSS shortcut must match the generic engine run
+        # over the per-proxy p-values.
         for seed in range(15):
             data = make_data(seed=seed, n=10)
             dec = nu.psi_pointwise_test(data, 1.0, 0.05, 20)
             _, phi_hat = nu.fit_psi_phi(data)
             _, _, rss_alt = nu.ols_line_fit(data)
-            explicit = max(
-                nu.f_stat_p_value(data, 1.0, phi_t, rss_alt)
-                for phi_t in nu.proxy_phi_grid(phi_hat, data.n, 20, 10.0)
+            ref = pointwise_test(
+                lambda phi_t: nu.f_stat_p_value(data, 1.0, phi_t, rss_alt),
+                nu.proxy_phi_grid(phi_hat, data.n, 20, 10.0), nu.NULL_SPEC, 0.05,
             )
-            assert dec.max_p == pytest.approx(explicit, abs=1e-12)
-            assert dec.n_points == 20
+            assert dec.max_p == pytest.approx(ref.max_p, abs=1e-12)
+            assert dec.reject == ref.reject
+            assert dec.alpha_prime_used == ref.alpha_prime_used
+            assert dec.n_points == ref.n_points == 20
 
     def test_lrt_stat_matches_direct_computation(self):
         data = make_data(seed=9, n=10)

@@ -1,11 +1,10 @@
-"""Region1D algebra and the generic confidence-region builder."""
+"""Region1D algebra."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pwreject.alpha_prime import NullSpec, alpha_prime_no_boundary
-from pwreject.regions import Region1D, build_region, union_all
+from pwreject.regions import Region1D, union_all
 
 intervals_strategy = st.lists(
     st.tuples(st.floats(-50, 50), st.floats(0, 10)).map(lambda t: (t[0], t[0] + t[1])),
@@ -55,33 +54,3 @@ class TestRegion1D:
         assert all(lo <= hi for lo, hi in ints)
         # Strictly separated after merging.
         assert all(b_lo > a_hi for (_, a_hi), (b_lo, _) in zip(ints, ints[1:]))
-
-
-class TestBuildRegion:
-    def test_unions_solver_output_at_correct_level(self):
-        seen = []
-
-        def solver(phi_t, ap):
-            seen.append(ap)
-            return Region1D([(phi_t, phi_t + 1.0)])
-
-        region = build_region(solver, [0.0, 0.5, 4.0], alpha=0.05)
-        assert region == Region1D([(0.0, 1.5), (4.0, 5.0)])
-        expect_ap = alpha_prime_no_boundary(0.05, NullSpec(2, 1))
-        assert all(ap == pytest.approx(expect_ap) for ap in seen)
-
-    def test_dimensions_feed_alpha_prime(self):
-        captured = {}
-
-        def solver(phi_t, ap):
-            captured["ap"] = ap
-            return Region1D.empty()
-
-        build_region(solver, [1.0], alpha=0.05, d_psi=2, d_phi=3)
-        assert captured["ap"] == pytest.approx(
-            alpha_prime_no_boundary(0.05, NullSpec(5, 3))
-        )
-
-    def test_requires_proxy_points(self):
-        with pytest.raises(ValueError):
-            build_region(lambda p, a: Region1D.empty(), [], 0.05)

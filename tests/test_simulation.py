@@ -1,7 +1,6 @@
 """Monte Carlo harness: determinism, aggregation, suite plumbing."""
 
 import math
-import os
 
 import pytest
 
@@ -37,13 +36,6 @@ class TestRunExperiment:
         a = run_experiment(config())
         b = run_experiment(config())
         assert a.rates == b.rates and a.margins == b.margins
-
-    def test_worker_count_does_not_change_results(self, monkeypatch):
-        monkeypatch.delenv("PWREJECT_WORKERS", raising=False)
-        serial = run_experiment(config(replicates=300))
-        monkeypatch.setenv("PWREJECT_WORKERS", "4")
-        parallel = run_experiment(config(replicates=300))
-        assert serial.rates == parallel.rates
 
     def test_seed_changes_results(self):
         a = run_experiment(config(truth=(1.0,)))

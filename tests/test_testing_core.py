@@ -1,10 +1,10 @@
-"""Generic engine: max-p semantics, tie handling, early exit, LRT helper."""
+"""Generic engine: max-p semantics, tie handling, LRT helper."""
 
 import pytest
 
 from pwreject.alpha_prime import NullSpec, alpha_prime
 from pwreject.distributions import chi2_cdf, chi2_quantile
-from pwreject.testing import lrt_decision_subspace, max_p_value, pointwise_test
+from pwreject.testing import lrt_decision_subspace, pointwise_test
 from pwreject.testing import TestDecision as Decision  # alias avoids pytest collection
 
 SPEC = NullSpec(2, 1)
@@ -17,11 +17,12 @@ def make_tester(mapping):
 class TestMaxP:
     def test_returns_maximum(self):
         t = make_tester({"a": 0.01, "b": 0.2, "c": 0.05})
-        assert max_p_value(t, ["a", "b", "c"]) == 0.2
+        dec = pointwise_test(t, ["a", "b", "c"], SPEC, 0.05)
+        assert dec.max_p == 0.2 and dec.n_points == 3
 
     def test_empty_points(self):
         with pytest.raises(ValueError):
-            max_p_value(lambda p: 0.5, [])
+            pointwise_test(lambda p: 0.5, [], SPEC, 0.05)
 
 
 class TestPointwise:
@@ -41,18 +42,6 @@ class TestPointwise:
         ap = alpha_prime(0.05, SPEC)
         dec = pointwise_test(make_tester({1: 0.0, 2: ap * 1.01}), [1, 2], SPEC, 0.05)
         assert not dec.reject
-
-    def test_early_exit_same_decision(self):
-        ap = alpha_prime(0.05, SPEC)
-        mapping = {1: ap / 2, 2: ap * 2, 3: ap / 4}
-        full = pointwise_test(make_tester(mapping), [1, 2, 3], SPEC, 0.05)
-        fast = pointwise_test(make_tester(mapping), [1, 2, 3], SPEC, 0.05, early_exit=True)
-        assert full.reject == fast.reject is False
-        assert fast.n_points == 2  # stopped at the first exceeding point
-
-    def test_early_exit_empty(self):
-        with pytest.raises(ValueError):
-            pointwise_test(lambda p: 0.5, [], SPEC, 0.05, early_exit=True)
 
     def test_alpha_one_rejects_everything(self):
         dec = pointwise_test(lambda p: 1.0, [0], SPEC, 1.0)
