@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pwreject.alpha_prime import NullSpec, alpha_prime_with_boundary
+from pwreject.alpha_prime import NullSpec
 from pwreject.distributions import f_cdf
-from pwreject.testing import TestDecision
+from pwreject.testing import decide
 
 __all__ = ["RegressionData", "OlsFit", "ols3_fit", "f_point_p_value", "or_null_test"]
 
@@ -35,6 +35,8 @@ class RegressionData:
             raise ValueError("x1, x2, y must be 1-d arrays of equal length")
         if y.size < 4:
             raise ValueError("need n >= 4 observations")
+        if not (np.isfinite(x1).all() and np.isfinite(x2).all() and np.isfinite(y).all()):
+            raise ValueError("x1, x2 and y must be finite (no nan or inf)")
         object.__setattr__(self, "x1", x1)
         object.__setattr__(self, "x2", x2)
         object.__setattr__(self, "y", y)
@@ -102,19 +104,18 @@ def or_null_test(data, alpha, m_prime):
     """
     if m_prime < 1:
         raise ValueError("m_prime must be >= 1")
-    ap = alpha_prime_with_boundary(alpha, NULL_SPEC)
     fit = ols3_fit(data)
     b1, b2 = fit.coefficients[1], fit.coefficients[2]
     if b1 <= 0.0 or b2 <= 0.0:
         # MLE inside the null: the continuum max p-value is 1.
-        return TestDecision(1.0 <= ap, 1.0, ap, 0)
+        return decide(1.0, NULL_SPEC, alpha, 0)
 
     fracs = np.arange(1, m_prime + 1) / (m_prime + 1.0)
     rss_b1 = _rowwise_intercept_rss(data.y - np.outer(2.0 * b1 * fracs, data.x1))
     rss_b2 = _rowwise_intercept_rss(data.y - np.outer(2.0 * b2 * fracs, data.x2))
     min_rss = min(rss_b1.min(), rss_b2.min())
     max_p = _f_p(min_rss, fit.rss, data.n)
-    return TestDecision(max_p <= ap, max_p, ap, 2 * m_prime)
+    return decide(max_p, NULL_SPEC, alpha, 2 * m_prime)
 
 
 def _rowwise_intercept_rss(residual_rows):

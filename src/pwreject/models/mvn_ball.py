@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pwreject.alpha_prime import NullSpec, alpha_prime_no_boundary, alpha_prime_with_boundary
+from pwreject.alpha_prime import NullSpec
 from pwreject.distributions import chi2_cdf
-from pwreject.testing import TestDecision, lrt_decision_subspace
+from pwreject.testing import TestDecision, decide, lrt_decision_subspace
 
 __all__ = [
     "MvnSample",
@@ -58,6 +58,8 @@ class MvnSample:
             raise ValueError("need an (n, 5) array of observations")
         if arr.shape[0] < 1:
             raise ValueError("need at least one observation")
+        if not np.isfinite(arr).all():
+            raise ValueError("observations must be finite (no nan or inf)")
         arr.flags.writeable = False
         object.__setattr__(self, "rows", arr)
 
@@ -93,9 +95,7 @@ def _read_only(arr):
 
 def project_to_null(ybar):
     """Euclidean projection of a mean vector onto the ball-and-subspace null."""
-    out = np.array(ybar, dtype=float)
-    out[3] = 0.0
-    out[4] = 0.0
+    out = project_to_subspace(ybar)
     head_norm = float(np.linalg.norm(out[:3]))
     if head_norm > 1.0:
         out[:3] /= head_norm
@@ -118,9 +118,8 @@ def mvn_simple_p_value(sample, theta_t):
 
 def ball_pointwise_test(sample, alpha):
     """Pointwise test of the ball-and-subspace null at the projection point."""
-    ap = alpha_prime_with_boundary(alpha, BALL_SPEC)
     p = mvn_simple_p_value(sample, sample.null_projection)
-    return TestDecision(p <= ap, p, ap, 1)
+    return decide(p, BALL_SPEC, alpha, 1)
 
 
 def _split_log_ratios(sample, theta_t):
@@ -159,9 +158,8 @@ def cross_fit_lrt_test(sample, alpha):
 
 def subspace_pointwise_test(sample, alpha):
     """Pointwise test of the boundaryless null {theta4 = theta5 = 0}."""
-    ap = alpha_prime_no_boundary(alpha, SUBSPACE_SPEC)
     p = mvn_simple_p_value(sample, project_to_subspace(sample.mean))
-    return TestDecision(p <= ap, p, ap, 1)
+    return decide(p, SUBSPACE_SPEC, alpha, 1)
 
 
 def subspace_neg2_log_lambda(sample):

@@ -36,6 +36,8 @@ class UnivariateSample:
         arr = np.asarray(values, dtype=float)
         if arr.ndim != 1 or arr.size < 2:
             raise ValueError("need a 1-d sample with at least two values")
+        if not np.isfinite(arr).all():
+            raise ValueError("sample values must be finite (no nan or inf)")
         object.__setattr__(self, "values", arr)
 
     @property

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pwreject.alpha_prime import NullSpec, alpha_prime_no_boundary
+from pwreject.alpha_prime import NullSpec, alpha_prime
 from pwreject.distributions import chi2_cdf, chi2_quantile, f_cdf, f_quantile
-from pwreject.regions import Region1D, union_all
-from pwreject.testing import TestDecision
+from pwreject.regions import Region1D
+from pwreject.testing import TestDecision, decide
 
 __all__ = [
     "XYData",
@@ -54,6 +54,8 @@ class XYData:
             raise ValueError("x and y must be 1-d arrays of equal length")
         if y.size < 3:
             raise ValueError("need n >= 3 observations")
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise ValueError("x and y must be finite (no nan or inf)")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 
@@ -78,6 +80,10 @@ def ols_line_fit(data):
 def fit_psi_phi(data):
     """MLEs (psi_hat, phi_hat) = (b1_hat**2 / b0_hat, b0_hat / b1_hat)."""
     b0, b1, _ = ols_line_fit(data)
+    return _psi_phi_from_line(b0, b1)
+
+
+def _psi_phi_from_line(b0, b1):
     if b1 == 0.0 or b0 == 0.0:
         raise DegenerateFitError("OLS estimates give a singular reparameterization")
     return b1 * b1 / b0, b0 / b1
@@ -99,10 +105,11 @@ def _f_from_rss(rss_null, rss_alt, n):
 
 
 def f_stat_p_value(data, psi0, phi_t, rss_alt=None):
-    f = f_stat(data, psi0, phi_t, rss_alt)
-    if math.isinf(f):
-        return 0.0
-    return 1.0 - f_cdf(f, 2, data.n - 2)
+    return _f_p_value(f_stat(data, psi0, phi_t, rss_alt), data.n)
+
+
+def _f_p_value(f, n):
+    return 0.0 if math.isinf(f) else 1.0 - f_cdf(f, 2, n - 2)
 
 
 def proxy_phi_grid(phi_hat, n, m, width_mult):
@@ -111,80 +118,70 @@ def proxy_phi_grid(phi_hat, n, m, width_mult):
     return phi_hat - w + 2.0 * w * (np.arange(1, m + 1) - 0.5) / m
 
 
-def _acceptance_interval(data, phi_t, rss_threshold):
-    """{psi0 : RSS_null(psi0, phi_t) <= rss_threshold} as a Region1D.
+def _proxy_regressors(data, m, width_mult):
+    """(rss_alt, g) from one OLS fit; g[t] = phi_t * x + phi_t**2 over the grid."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    b0, b1, rss_alt = ols_line_fit(data)
+    _, phi_hat = _psi_phi_from_line(b0, b1)
+    grid = proxy_phi_grid(phi_hat, data.n, m, width_mult)
+    return rss_alt, np.outer(grid, data.x) + (grid * grid)[:, None]
 
-    RSS_null is quadratic in psi0 with curvature sum(g**2) for the
-    regressor g = phi_t * x + phi_t**2.
+
+def _accepted_psi(y, g, rss_threshold):
+    """Region1D of the psi0 with RSS_null(psi0, g[t]) <= rss_threshold for some t.
+
+    RSS_null = a*psi0**2 - 2*b*psi0 + c per row, so a row accepts an
+    interval, or (flat, a == 0) every psi0 or none.
     """
-    g = phi_t * data.x + phi_t * phi_t
-    a = float(np.sum(g * g))
-    b = float(np.sum(data.y * g))
-    c = float(np.sum(data.y * data.y))
-    if a == 0.0:
-        # Flat RSS: either every psi0 is accepted or none.
-        if c <= rss_threshold:
-            return Region1D([(-math.inf, math.inf)])
-        return Region1D.empty()
+    a = np.sum(g * g, axis=1)
+    b = np.sum(y * g, axis=1)
+    c = float(np.sum(y * y))
+    if c <= rss_threshold and not a.all():
+        return Region1D([(-math.inf, math.inf)])
     disc = b * b - a * (c - rss_threshold)
-    if disc < 0.0:
-        return Region1D.empty()
-    root = math.sqrt(disc)
-    return Region1D([((b - root) / a, (b + root) / a)])
+    keep = (a != 0.0) & (disc >= 0.0)
+    a, b, root = a[keep], b[keep], np.sqrt(disc[keep])
+    return Region1D(zip(((b - root) / a).tolist(), ((b + root) / a).tolist()))
 
 
 def _region_from_threshold(data, m, width_mult, f_threshold):
-    _, _, rss_alt = ols_line_fit(data)
-    _, phi_hat = fit_psi_phi(data)
+    rss_alt, g = _proxy_regressors(data, m, width_mult)
     rss_threshold = rss_alt * (1.0 + 2.0 * f_threshold / (data.n - 2))
-    grid = proxy_phi_grid(phi_hat, data.n, m, width_mult)
-    return union_all(_acceptance_interval(data, phi_t, rss_threshold) for phi_t in grid)
+    return _accepted_psi(data.y, g, rss_threshold)
 
 
 def psi_region_F(data, alpha, m, width_mult=5.0):
     """Pointwise confidence region for psi from the finite-sample F test."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    ap = alpha_prime_no_boundary(alpha, NULL_SPEC)
+    ap = alpha_prime(alpha, NULL_SPEC)
     f_threshold = f_quantile(1.0 - ap, 2, data.n - 2)
     return _region_from_threshold(data, m, width_mult, f_threshold)
 
 
 def psi_region_LRT(data, alpha, m, width_mult=5.0):
     """Large-sample LRT baseline region over the same proxy grid."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
     n = data.n
     f_threshold = (n - 2) / 2.0 * (math.exp(chi2_quantile(1.0 - alpha, 2) / n) - 1.0)
     return _region_from_threshold(data, m, width_mult, f_threshold)
 
 
-def _min_f_over_grid(data, psi0, m, width_mult):
-    _, _, rss_alt = ols_line_fit(data)
-    _, phi_hat = fit_psi_phi(data)
-    grid = proxy_phi_grid(phi_hat, data.n, m, width_mult)
-    # Vectorized restricted RSS over the grid.
-    g = np.outer(grid, data.x) + (grid * grid)[:, None]
+def _min_rss_null(data, psi0, m, width_mult):
+    rss_alt, g = _proxy_regressors(data, m, width_mult)
     rss_null = np.sum((data.y[None, :] - psi0 * g) ** 2, axis=1)
-    return _f_from_rss(float(rss_null.min()), rss_alt, data.n), rss_alt, float(rss_null.min())
+    return rss_alt, float(rss_null.min())
 
 
 def psi_pointwise_test(data, psi0, alpha, m, width_mult=10.0):
     """Test H0: psi = psi0 by pointwise rejection over proxy phi values."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    ap = alpha_prime_no_boundary(alpha, NULL_SPEC)
-    min_f, _, _ = _min_f_over_grid(data, psi0, m, width_mult)
-    max_p = 0.0 if math.isinf(min_f) else 1.0 - f_cdf(min_f, 2, data.n - 2)
-    return TestDecision(max_p <= ap, max_p, ap, m)
+    rss_alt, min_rss_null = _min_rss_null(data, psi0, m, width_mult)
+    max_p = _f_p_value(_f_from_rss(min_rss_null, rss_alt, data.n), data.n)
+    return decide(max_p, NULL_SPEC, alpha, m)
 
 
 def psi_lrt_test(data, psi0, alpha, m, width_mult=10.0):
     """LRT baseline: reject when n*log(RSS_null / RSS_alt) clears the
     chi2_{1-alpha, 1} cutoff at every proxy point."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    _, rss_alt, min_rss_null = _min_f_over_grid(data, psi0, m, width_mult)
+    rss_alt, min_rss_null = _min_rss_null(data, psi0, m, width_mult)
     if rss_alt == 0.0:
         stat = 0.0 if min_rss_null == 0.0 else math.inf
     else:

@@ -3,7 +3,7 @@
 A simple-null tester is any callable ``tester(point) -> p-value`` for
 H0: theta = point on a fixed observed dataset.  The composite decision
 compares the maximum p-value across test points with the modified level
-alpha'.  Ties at the threshold reject.
+alpha' (:func:`decide`, which the models call).  Ties at the threshold reject.
 """
 
 from dataclasses import dataclass
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from pwreject.alpha_prime import alpha_prime
 from pwreject.distributions import chi2_cdf, chi2_quantile
 
-__all__ = ["TestDecision", "pointwise_test", "lrt_decision_subspace"]
+__all__ = ["TestDecision", "decide", "pointwise_test", "lrt_decision_subspace"]
 
 
 @dataclass(frozen=True)
@@ -36,15 +36,20 @@ class TestDecision:
         object.__setattr__(self, "n_points", int(self.n_points))
 
 
+def decide(max_p, spec, alpha, n_points):
+    """Reject iff max_p <= alpha' for the null geometry ``spec``."""
+    ap = alpha_prime(alpha, spec)
+    return TestDecision(max_p <= ap, max_p, ap, n_points)
+
+
 def pointwise_test(tester, points, spec, alpha):
     """Composite test: reject iff every point's p-value is <= alpha'.
 
-    That is the maximum p-value over the test points against alpha'.  An
-    empty list of points raises ``ValueError``.
+    That is the maximum p-value over the test points against alpha'.
+    ``points`` may be any iterable; an empty one raises ``ValueError``.
     """
-    ap = alpha_prime(alpha, spec)
-    best = max(map(tester, points))
-    return TestDecision(best <= ap, best, ap, len(points))
+    p_values = list(map(tester, points))
+    return decide(max(p_values), spec, alpha, len(p_values))
 
 
 def lrt_decision_subspace(neg2_log_lambda, spec, alpha):

@@ -7,6 +7,7 @@ import pytest
 
 from pwreject.distributions import RngStream, f_quantile
 from pwreject.models import nuisance as nu
+from pwreject.regions import Region1D
 from pwreject.testing import pointwise_test
 
 
@@ -63,19 +64,39 @@ class TestProxyGrid:
         assert grid.mean() == pytest.approx(3.0, abs=1e-12)
 
 
+def scalar_interval(y, g, thr):
+    """Reference acceptance interval for one regressor row by the quadratic
+    formula in scalar arithmetic: (lo, hi), "all", or None when empty."""
+    a = float(np.sum(g * g))
+    b = float(np.sum(y * g))
+    c = float(np.sum(y * y))
+    if a == 0.0:
+        return "all" if c <= thr else None
+    disc = b * b - a * (c - thr)
+    if disc < 0.0:
+        return None
+    root = math.sqrt(disc)
+    return (b - root) / a, (b + root) / a
+
+
+def regressor_rows(data, phis):
+    return np.array([phi_t * data.x + phi_t * phi_t for phi_t in phis])
+
+
 class TestAcceptanceInterval:
     def test_endpoints_match_grid_scan(self):
         data = make_data(seed=3, n=15)
         _, _, rss_alt = nu.ols_line_fit(data)
         thr = rss_alt * (1.0 + 2.0 * f_quantile(0.8535, 2, data.n - 2) / (data.n - 2))
         _, phi_hat = nu.fit_psi_phi(data)
-        for phi_t in (phi_hat - 0.2, phi_hat, phi_hat + 0.2):
-            region = nu._acceptance_interval(data, phi_t, thr)
+        phis = (phi_hat - 0.2, phi_hat, phi_hat + 0.2)
+        for g in regressor_rows(data, phis):
+            region = nu._accepted_psi(data.y, g[None, :], thr)
             assert len(region.intervals) == 1
             lo, hi = region.intervals[0]
+            assert (lo, hi) == scalar_interval(data.y, g, thr)
             # Independent scan of the quadratic RSS over a fine psi grid.
             psis = np.linspace(lo - 1.0, hi + 1.0, 2000)
-            g = phi_t * data.x + phi_t**2
             rss = ((data.y[None, :] - np.outer(psis, g)) ** 2).sum(axis=1)
             accepted = psis[rss <= thr]
             step = psis[1] - psis[0]
@@ -85,10 +106,18 @@ class TestAcceptanceInterval:
     def test_flat_rss_cases(self):
         data = nu.XYData([1.0, -0.5, 0.25], [0.1, -0.1, 0.0])
         # phi_t = 0 zeroes the regressor: acceptance is all-or-nothing.
-        everything = nu._acceptance_interval(data, 0.0, 1e9)
+        flat = regressor_rows(data, [0.0])
+        everything = nu._accepted_psi(data.y, flat, 1e9)
         assert everything.contains(-1e8) and everything.contains(1e8)
-        nothing = nu._acceptance_interval(data, 0.0, 1e-9)
-        assert not nothing
+        assert not nu._accepted_psi(data.y, flat, 1e-9)
+        # Next to a curved row, a flat row that accepts everything swamps
+        # it and one that accepts nothing leaves it unchanged.
+        mixed = regressor_rows(data, [0.0, 1.0])
+        assert nu._accepted_psi(data.y, mixed, 1e9) == everything
+        thr = 0.99 * float(np.sum(data.y**2))  # below the flat row's RSS
+        lo_hi = scalar_interval(data.y, mixed[1], thr)
+        assert isinstance(lo_hi, tuple)
+        assert nu._accepted_psi(data.y, mixed, thr) == Region1D([lo_hi])
 
 
 class TestRegions:
@@ -113,18 +142,34 @@ class TestRegions:
         _, phi_hat = nu.fit_psi_phi(data)
         thr = rss_alt * (1.0 + 2.0 * f_quantile(
             1.0 - 0.14650006448608417, 2, data.n - 2) / (data.n - 2))
-        pieces = [
-            nu._acceptance_interval(data, phi_t, thr)
-            for phi_t in nu.proxy_phi_grid(phi_hat, data.n, 9, 5.0)
-        ]
-        expect = pieces[0]
-        for p in pieces[1:]:
-            expect = expect.union(p)
-        assert region == expect
+        rows = regressor_rows(data, nu.proxy_phi_grid(phi_hat, data.n, 9, 5.0))
+        pieces = [scalar_interval(data.y, g, thr) for g in rows]
+        assert "all" not in pieces and None in pieces
+        # Merge the per-proxy intervals by hand: sorted, overlapping joined.
+        expect = []
+        for lo, hi in sorted(p for p in pieces if p is not None):
+            if expect and lo <= expect[-1][1]:
+                expect[-1] = (expect[-1][0], max(expect[-1][1], hi))
+            else:
+                expect.append((lo, hi))
+        assert region.intervals == tuple(expect)
+        # Membership agrees with a direct scan: psi0 is in the region iff
+        # some proxy phi_t accepts it.
+        lo, hi = region.intervals[0][0], region.intervals[-1][1]
+        psis = np.linspace(lo - 0.5, hi + 0.5, 1001)
+        psis = psis[np.all(np.abs(psis[:, None] - np.ravel(expect)) > 1e-9, axis=1)]
+        rss = ((data.y - psis[:, None, None] * rows) ** 2).sum(axis=2)
+        accepted = (rss <= thr).any(axis=1)
+        assert accepted.any() and not accepted.all()
+        assert [region.contains(p) for p in psis] == accepted.tolist()
 
     def test_m_validation(self):
-        with pytest.raises(ValueError):
-            nu.psi_region_F(make_data(), 0.05, 0)
+        for fn in (nu.psi_region_F, nu.psi_region_LRT):
+            with pytest.raises(ValueError):
+                fn(make_data(), 0.05, 0)
+        for fn in (nu.psi_pointwise_test, nu.psi_lrt_test):
+            with pytest.raises(ValueError):
+                fn(make_data(), 1.0, 0.05, 0)
 
 
 class TestPointwiseAndLrtTests:
@@ -166,3 +211,25 @@ class TestPointwiseAndLrtTests:
         data = make_data(sigma=0.0)
         assert not nu.psi_pointwise_test(data, 1.0, 0.05, 51).reject
         assert not nu.psi_lrt_test(data, 1.0, 0.05, 51).reject
+
+
+ONE_CALL_ARGS = {
+    "psi_region_F": (0.05, 50),
+    "psi_region_LRT": (0.05, 50),
+    "psi_pointwise_test": (1.0, 0.05, 100),
+    "psi_lrt_test": (1.0, 0.05, 100),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_CALL_ARGS))
+def test_one_ols_fit_per_call(monkeypatch, name):
+    fit = nu.ols_line_fit
+    calls = []
+
+    def counted(data):
+        calls.append(data)
+        return fit(data)
+
+    monkeypatch.setattr(nu, "ols_line_fit", counted)
+    getattr(nu, name)(make_data(seed=4), *ONE_CALL_ARGS[name])
+    assert len(calls) == 1

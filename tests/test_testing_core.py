@@ -1,10 +1,12 @@
 """Generic engine: max-p semantics, tie handling, LRT helper."""
 
+import math
+
 import pytest
 
 from pwreject.alpha_prime import NullSpec, alpha_prime
 from pwreject.distributions import chi2_cdf, chi2_quantile
-from pwreject.testing import lrt_decision_subspace, pointwise_test
+from pwreject.testing import decide, lrt_decision_subspace, pointwise_test
 from pwreject.testing import TestDecision as Decision  # alias avoids pytest collection
 
 SPEC = NullSpec(2, 1)
@@ -23,6 +25,19 @@ class TestMaxP:
     def test_empty_points(self):
         with pytest.raises(ValueError):
             pointwise_test(lambda p: 0.5, [], SPEC, 0.05)
+        with pytest.raises(ValueError):
+            pointwise_test(lambda p: 0.5, (q for q in []), SPEC, 0.05)
+
+    def test_any_iterable(self):
+        seen = []
+
+        def tester(q):
+            seen.append(q)
+            return q / 10.0
+
+        dec = pointwise_test(tester, (q for q in [1, 2, 3]), SPEC, 0.05)
+        assert seen == [1, 2, 3]
+        assert dec.max_p == 0.3 and dec.n_points == 3 and not dec.reject
 
 
 class TestPointwise:
@@ -46,6 +61,17 @@ class TestPointwise:
     def test_alpha_one_rejects_everything(self):
         dec = pointwise_test(lambda p: 1.0, [0], SPEC, 1.0)
         assert dec.reject and dec.alpha_prime_used == 1.0
+
+
+class TestDecide:
+    @pytest.mark.parametrize("spec", [NullSpec(2, 1), NullSpec(5, 3, has_boundary=True)])
+    def test_rejects_exactly_at_alpha_prime(self, spec):
+        ap = alpha_prime(0.05, spec)
+        at = decide(ap, spec, 0.05, 4)
+        assert at.reject and at.max_p == ap and at.alpha_prime_used == ap
+        assert at.n_points == 4
+        above = decide(math.nextafter(ap, 1.0), spec, 0.05, 4)
+        assert not above.reject and above.alpha_prime_used == ap
 
 
 class TestLrtHelper:
