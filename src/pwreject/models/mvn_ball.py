@@ -11,6 +11,10 @@ chi-square-5 statistic, exact at every n).
 Universal-inference baselines (split LRT, cross-fit LRT) and the
 boundaryless subspace variant used for the equivalence check with the
 traditional LRT live here too.
+
+:func:`decide_batch` gives the pointwise, split and cross-fit decisions
+for a whole stack of samples at once; it is what the Monte Carlo harness
+calls, and the per-sample tests are its reference.
 """
 
 import functools
@@ -21,7 +25,7 @@ import numpy as np
 
 from pwreject.alpha_prime import NullSpec
 from pwreject.distributions import chi2_cdf
-from pwreject.testing import TestDecision, decide, lrt_decision_subspace
+from pwreject.testing import TestDecision, decide, lrt_decision_subspace, rejections
 
 __all__ = [
     "MvnSample",
@@ -31,6 +35,7 @@ __all__ = [
     "ball_pointwise_test",
     "split_lrt_test",
     "cross_fit_lrt_test",
+    "decide_batch",
     "subspace_pointwise_test",
     "subspace_lrt_test",
 ]
@@ -38,6 +43,7 @@ __all__ = [
 DIM = 5
 BALL_SPEC = NullSpec(d1=5, d0=3, has_boundary=True)
 SUBSPACE_SPEC = NullSpec(d1=5, d0=3, has_boundary=False)
+BATCH_METHODS = ("pointwise", "split_lrt", "crossfit_lrt")
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,16 +150,94 @@ def split_lrt_test(sample, alpha):
     """Universal split LRT at the single projection test point."""
     log_u1, _ = _split_log_ratios(sample, sample.null_projection)
     # U1 > 1/alpha expressed through the e-value's implied p-value 1/U1.
-    p = math.exp(-log_u1) if log_u1 > 0.0 else 1.0
-    return TestDecision(p < alpha, min(p, 1.0), alpha, 1)
+    p = _e_value_p(log_u1)
+    return TestDecision(p < alpha, p, alpha, 1)
 
 
 def cross_fit_lrt_test(sample, alpha):
     """Universal cross-fit LRT: (U1 + U2) / 2 compared with 1/alpha."""
     log_u1, log_u2 = _split_log_ratios(sample, sample.null_projection)
-    log_avg = np.logaddexp(log_u1, log_u2) - math.log(2.0)
-    p = math.exp(-log_avg) if log_avg > 0.0 else 1.0
-    return TestDecision(p < alpha, min(p, 1.0), alpha, 1)
+    p = _e_value_p(np.logaddexp(log_u1, log_u2) - math.log(2.0))
+    return TestDecision(p < alpha, p, alpha, 1)
+
+
+def decide_batch(stack, methods, alpha):
+    """Reject flags of the named ball tests on every sample of a stack.
+
+    ``stack`` is a (B, n, 5) array holding B samples.  The result has one
+    bool array of length B per name in ``methods`` (any of
+    ``BATCH_METHODS``), and entry b equals the ``reject`` of the matching
+    per-sample test on ``MvnSample(stack[b])``.  The statistics agree bit
+    for bit: the means, the projection and the squared distances are axis
+    reductions that round as the per-sample ones do, and the chi-square
+    and e-value p-values stay per sample on the scalar kernel and
+    ``math.exp``.
+    """
+    stack = np.asarray(stack, dtype=float)
+    if stack.ndim != 3 or stack.shape[2] != DIM or stack.shape[1] < 1:
+        raise ValueError("need a (B, n, 5) stack with n >= 1")
+    unknown = [m for m in methods if m not in BATCH_METHODS]
+    if unknown:
+        raise ValueError("method %r not available for the ball model" % (unknown[0],))
+    if not np.isfinite(stack).all():
+        raise ValueError("observations must be finite (no nan or inf)")
+    n = stack.shape[1]
+    mean = stack.mean(axis=1)
+    proj = _project_rows_to_null(mean)
+    rejects = {}
+    if "pointwise" in methods:
+        stat = n * _sq_norms(mean - proj)
+        p = [1.0 - chi2_cdf(s, DIM) for s in stat.tolist()]
+        rejects["pointwise"] = rejections(p, BALL_SPEC, alpha)
+    if any(m != "pointwise" for m in methods):
+        log_u1, log_u2 = _split_log_ratio_rows(stack, proj)
+        rejects["split_lrt"] = _e_value_rejections(log_u1, alpha)
+        log_avg = np.logaddexp(log_u1, log_u2) - math.log(2.0)
+        rejects["crossfit_lrt"] = _e_value_rejections(log_avg, alpha)
+    return [rejects[m] for m in methods]
+
+
+def _sq_norms(diff):
+    """Squared norms along the last axis, summed as np.sum sums one vector."""
+    return (diff * diff).sum(axis=-1)
+
+
+def _project_rows_to_null(means):
+    """project_to_null on each row of a (B, 5) array.
+
+    The head norm is a batched matmul, which rounds like ``np.linalg.norm``
+    of one row; ``np.sum(h * h, axis=1)`` does not.  Heads inside the ball
+    are divided by 1.0, which leaves them unchanged.
+    """
+    head = means[:, :3]
+    norm = np.sqrt((head[:, None, :] @ head[:, :, None])[:, 0, 0])
+    out = np.zeros_like(means)
+    out[:, :3] = head / np.maximum(norm, 1.0)[:, None]
+    return out
+
+
+def _split_log_ratio_rows(stack, theta_t):
+    """_split_log_ratios for each sample of a (B, n, 5) stack at rows of theta_t."""
+    n = stack.shape[1]
+    if n < 2:
+        raise ValueError("need n >= 2 so both splits are nonempty")
+    n1 = (n + 1) // 2
+    m1 = stack[:, :n1].mean(axis=1)
+    m2 = stack[:, n1:].mean(axis=1)
+    # (m2 - m1) ** 2 equals (m1 - m2) ** 2 exactly, so one sum serves both.
+    to_t1, to_t2, between = _sq_norms(np.array((m1 - theta_t, m2 - theta_t, m1 - m2)))
+    log_u1 = 0.5 * n1 * (to_t1 - between)
+    log_u2 = 0.5 * (n - n1) * (to_t2 - between)
+    return log_u1, log_u2
+
+
+def _e_value_rejections(log_e, alpha):
+    return np.array([_e_value_p(x) < alpha for x in log_e.tolist()], dtype=bool)
+
+
+def _e_value_p(log_e):
+    """The p-value 1/E of an e-value E = exp(log_e), capped at 1."""
+    return math.exp(-log_e) if log_e > 0.0 else 1.0
 
 
 def subspace_pointwise_test(sample, alpha):

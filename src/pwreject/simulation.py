@@ -2,8 +2,13 @@
 
 Each replicate r draws its own RNG stream from (master_seed, r), generates
 one dataset under the configured truth, and applies every requested method
-to that same dataset.  Replicates run serially and aggregation is pure
-counting, so a seed fixes every rate bit for bit.
+to that same dataset.  Replicates are generated serially, in order, and
+decided in blocks of consecutive replicates: the ball model stacks a
+block's draws into one (B, n, 5) array and decides it with one batched call
+(:func:`pwreject.models.mvn_ball.decide_batch`), while the other models
+decide each dataset of the block with their per-sample tests.  A block
+holds at most about 4 MB of draws.  Aggregation is pure counting, so a
+seed fixes every rate bit for bit, whatever the block length.
 """
 
 import math
@@ -23,6 +28,8 @@ MODES = ("type1", "power", "coverage")
 _MODEL_MIN_N = {"interval": 2, "or_null": 4, "nuisance": 3, "ball": 1}
 # Sample splitting needs a nonempty half on each side.
 _METHOD_MIN_N = {"split_lrt": 2, "crossfit_lrt": 2}
+# Floats of draws per block (4 MB of float64); a block is at least one replicate.
+_BLOCK_FLOATS = 2**19
 
 
 @dataclass(frozen=True)
@@ -96,13 +103,17 @@ def _generate(config, stream):
         eps = config.sigma * g.standard_normal(config.n)
         return nuisance.XYData(x, psi * phi * x + psi * phi * phi + eps)
     if config.model == "ball":
+        # Raw (n, 5) draws: the ball model decides a stack of them at once.
         theta = np.asarray(config.truth, dtype=float)
-        return mvn_ball.MvnSample(theta + g.standard_normal((config.n, mvn_ball.DIM)))
+        return theta + g.standard_normal((config.n, mvn_ball.DIM))
     raise AssertionError(config.model)
 
 
 def _method_fn(config, method):
-    """Dataset -> bool (rejection, or region-contains-truth for coverage)."""
+    """Dataset -> bool (rejection, or region-contains-truth for coverage).
+
+    Every model but ball, which is decided a block at a time.
+    """
     model, mode, alpha, m = config.model, config.mode, config.alpha, config.m
     if model == "interval":
         if method == "pointwise":
@@ -124,30 +135,55 @@ def _method_fn(config, method):
                 return lambda d: nuisance.psi_pointwise_test(d, config.psi0, alpha, m).reject
             if method == "lrt":
                 return lambda d: nuisance.psi_lrt_test(d, config.psi0, alpha, m).reject
-    elif model == "ball":
-        if method == "pointwise":
-            return lambda d: mvn_ball.ball_pointwise_test(d, alpha).reject
-        if method == "split_lrt":
-            return lambda d: mvn_ball.split_lrt_test(d, alpha).reject
-        if method == "crossfit_lrt":
-            return lambda d: mvn_ball.cross_fit_lrt_test(d, alpha).reject
     raise ValueError("method %r not available for model %r" % (method, model))
+
+
+def _block_decider(config):
+    """decide(datasets, size) -> (hits, flagged) for one block.
+
+    ``datasets`` yields the block's ``size`` datasets in replicate order.
+    ``hits`` holds one bool sequence per method over the replicates that no
+    method flagged as degenerate; ``flagged`` counts the others, whose
+    results count for no method.
+    """
+    if config.model == "ball":
+        def decide(datasets, size):
+            stack = np.empty((size, config.n, mvn_ball.DIM))
+            for row, draws in zip(stack, datasets):
+                row[...] = draws
+            return mvn_ball.decide_batch(stack, config.methods, config.alpha), 0
+
+        return decide
+
+    fns = [_method_fn(config, method) for method in config.methods]
+
+    def decide(datasets, size):
+        kept = []
+        flagged = 0
+        for data in datasets:
+            try:
+                kept.append([fn(data) for fn in fns])
+            except nuisance.DegenerateFitError:
+                flagged += 1
+        return list(zip(*kept)), flagged
+
+    return decide
 
 
 def run_experiment(config):
     """Run one Monte Carlo experiment; returns per-method rates and margins."""
     start_time = time.perf_counter()
-    fns = [_method_fn(config, method) for method in config.methods]
-    counts = [0] * len(fns)
+    decide = _block_decider(config)
+    block = max(1, _BLOCK_FLOATS // (config.n * mvn_ball.DIM))
+    counts = [0] * len(config.methods)
     flagged = 0
-    for r in range(config.replicates):
-        data = _generate(config, RngStream(config.master_seed, r))
-        try:
-            for i, fn in enumerate(fns):
-                if fn(data):
-                    counts[i] += 1
-        except nuisance.DegenerateFitError:
-            flagged += 1
+    for lo in range(0, config.replicates, block):
+        reps = range(lo, min(lo + block, config.replicates))
+        datasets = (_generate(config, RngStream(config.master_seed, r)) for r in reps)
+        hits, block_flagged = decide(datasets, len(reps))
+        for i, method_hits in enumerate(hits):
+            counts[i] += int(np.count_nonzero(method_hits))
+        flagged += block_flagged
     effective = config.replicates - flagged
     if effective < 1:
         raise RuntimeError("all replicates were flagged as degenerate")

@@ -8,10 +8,12 @@ alpha' (:func:`decide`, which the models call).  Ties at the threshold reject.
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from pwreject.alpha_prime import alpha_prime
 from pwreject.distributions import chi2_cdf, chi2_quantile
 
-__all__ = ["TestDecision", "decide", "pointwise_test", "lrt_decision_subspace"]
+__all__ = ["TestDecision", "decide", "rejections", "pointwise_test", "lrt_decision_subspace"]
 
 
 @dataclass(frozen=True)
@@ -40,6 +42,11 @@ def decide(max_p, spec, alpha, n_points):
     """Reject iff max_p <= alpha' for the null geometry ``spec``."""
     ap = alpha_prime(alpha, spec)
     return TestDecision(max_p <= ap, max_p, ap, n_points)
+
+
+def rejections(max_p, spec, alpha):
+    """:func:`decide`'s rule over an array of max p-values: a bool array."""
+    return np.asarray(max_p, dtype=float) <= alpha_prime(alpha, spec)
 
 
 def pointwise_test(tester, points, spec, alpha):

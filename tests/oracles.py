@@ -173,3 +173,49 @@ def mp_reg_lower_gamma(s, x):
 
 def mp_reg_inc_beta(a, b, x):
     return float(mpmath.betainc(a, b, 0, x, regularized=True))
+
+
+# Exact rejection rates --------------------------------------------------------
+
+def ball_pointwise_rate(mu, n, alpha, dps=30):
+    """Exact rejection rate of the ball pointwise test at theta = (mu, 0, 0, 0, 0).
+
+    The statistic is T + (R - sqrt(n))_+^2 with T ~ chi2_2 and R the norm of
+    the scaled head mean, a noncentral chi_3 with lambda = sqrt(n) * mu,
+    independent.  The test rejects iff the statistic reaches q, the chi2_5
+    quantile at 1 - alpha', which is the root of the boundary equation
+    (F_chi2_2(q) + F_chi2_3(q)) / 2 = 1 - alpha.  So
+
+        P = integral of f_R(r) * exp(-(q - (r - sqrt(n))_+^2)_+ / 2) dr,
+
+    with f_R(r) = (r / lambda) * (phi(r - lambda) - phi(r + lambda)).
+    Everything, q included, is computed here in mpmath.
+    """
+    with mpmath.workdps(dps):
+        alpha = mpmath.mpf(alpha)
+
+        def chi2_cdf(x, k):
+            return mpmath.gammainc(mpmath.mpf(k) / 2, 0, x / 2, regularized=True)
+
+        lo, hi = mpmath.mpf(0), mpmath.mpf(200)
+        for _ in range(4 * dps):  # bisection: the balance rises with q
+            mid = (lo + hi) / 2
+            if (chi2_cdf(mid, 2) + chi2_cdf(mid, 3)) / 2 < 1 - alpha:
+                lo = mid
+            else:
+                hi = mid
+        q = (lo + hi) / 2
+        root_n = mpmath.sqrt(n)
+        lam = root_n * mpmath.mpf(mu)
+
+        def density(r):
+            return r / lam * (mpmath.npdf(r - lam) - mpmath.npdf(r + lam))
+
+        def integrand(r):
+            head = max(r - root_n, 0) ** 2
+            return density(r) * mpmath.exp(-max(q - head, 0) / 2)
+
+        kinks = {root_n, root_n + mpmath.sqrt(q)}
+        peak = {max(lam + k, 0) for k in (-10, -3, 0, 3, 10)}
+        points = sorted({mpmath.mpf(0)} | kinks | peak) + [mpmath.inf]
+        return float(mpmath.quad(integrand, points))

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pwreject.distributions import RngStream, chi2_cdf, chi2_quantile
 from pwreject.models import mvn_ball as mb
@@ -189,3 +191,113 @@ def test_sample_validation():
         mb.MvnSample(np.zeros((3, 4)))
     with pytest.raises(ValueError):
         mb.MvnSample(np.zeros((0, 5)))
+
+
+SCALAR_TESTS = {
+    "pointwise": mb.ball_pointwise_test,
+    "split_lrt": mb.split_lrt_test,
+    "crossfit_lrt": mb.cross_fit_lrt_test,
+}
+
+
+def scalar_decisions(stack, methods, alpha):
+    return [
+        np.array([SCALAR_TESTS[m](mb.MvnSample(rows), alpha).reject for rows in stack])
+        for m in methods
+    ]
+
+
+def assert_batch_matches_scalar(stack, alpha, methods=mb.BATCH_METHODS):
+    batch = mb.decide_batch(stack, methods, alpha)
+    assert len(batch) == len(methods)
+    for got, want in zip(batch, scalar_decisions(stack, methods, alpha)):
+        assert got.dtype == bool and got.shape == (len(stack),)
+        assert np.array_equal(got, want)
+
+
+def ball_stack(seed, count, n, theta):
+    g = RngStream(seed).generator
+    return np.asarray(theta, float) + g.standard_normal((count, n, mb.DIM))
+
+
+class TestDecideBatch:
+    @pytest.mark.parametrize("n", [2, 3, 10, 11])
+    @pytest.mark.parametrize("theta", [(0.2, 0, 0, 0, 0), (1, 0, 0, 0, 0), (6, -3, 2, 1, 0)])
+    def test_matches_scalar_tests(self, n, theta):
+        stack = ball_stack(n, 40, n, theta)
+        for alpha in (0.01, 0.05, 0.2, 1.0):
+            assert_batch_matches_scalar(stack, alpha)
+
+    def test_n_one_pointwise_only(self):
+        stack = ball_stack(1, 50, 1, (1, 0, 0, 0, 0))
+        assert_batch_matches_scalar(stack, 0.05, ("pointwise",))
+        for method in ("split_lrt", "crossfit_lrt"):
+            with pytest.raises(ValueError):
+                mb.decide_batch(stack, ("pointwise", method), 0.05)
+
+    def test_means_inside_on_and_outside_the_ball(self):
+        # Constant rows make each mean exact: head norms 0.5, exactly 1.0
+        # (twice) and 5, with and without a tail.
+        heads = ([0.5, 0, 0], [1.0, 0, 0], [0.6, 0.0, 0.8], [0, 3.0, 4.0])
+        stack = np.array([
+            np.tile(head + tail, (4, 1))
+            for head in heads
+            for tail in ([0.0, 0.0], [0.7, -0.2])
+        ])
+        assert np.linalg.norm(stack[2, 0, :3]) == 1.0
+        for alpha in (0.05, 1.0):
+            assert_batch_matches_scalar(stack, alpha)
+
+    def test_split_decisions_exactly_at_alpha(self):
+        # alpha set to each sample's own e-value p-value: the strict rule
+        # must not reject there, and must reject one float above it.
+        stack = ball_stack(7, 30, 9, (2.0, 0, 0, 0, 0))
+        for method in ("split_lrt", "crossfit_lrt"):
+            for rows in stack:
+                p = SCALAR_TESTS[method](mb.MvnSample(rows), 0.05).max_p
+                if p == 1.0:
+                    continue
+                for alpha in (p, np.nextafter(p, 1.0)):
+                    want = SCALAR_TESTS[method](mb.MvnSample(rows), alpha).reject
+                    assert want == (alpha > p)
+                    assert mb.decide_batch(rows[None], (method,), alpha)[0][0] == want
+
+    def test_statistics_match_per_sample_bit_for_bit(self):
+        stack = ball_stack(5, 200, 7, (1.0, 0.3, 0, 0.1, 0))
+        proj = mb._project_rows_to_null(stack.mean(axis=1))
+        log_u1, log_u2 = mb._split_log_ratio_rows(stack, proj)
+        for b, rows in enumerate(stack):
+            s = mb.MvnSample(rows)
+            assert np.array_equal(proj[b], s.null_projection)
+            assert (log_u1[b], log_u2[b]) == mb._split_log_ratios(s, s.null_projection)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_draws_raise(self, bad):
+        stack = ball_stack(2, 3, 4, (0, 0, 0, 0, 0))
+        stack[1, 2, 3] = bad
+        with pytest.raises(ValueError):
+            mb.MvnSample(stack[1])
+        with pytest.raises(ValueError, match="finite"):
+            mb.decide_batch(stack, ("pointwise",), 0.05)
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            mb.decide_batch(np.zeros((2, 3, 4)), ("pointwise",), 0.05)
+        with pytest.raises(ValueError):
+            mb.decide_batch(np.zeros((2, 0, 5)), ("pointwise",), 0.05)
+        with pytest.raises(ValueError, match="nope"):
+            mb.decide_batch(np.zeros((2, 3, 5)), ("pointwise", "nope"), 0.05)
+        assert mb.decide_batch(np.zeros((2, 3, 5)), (), 0.05) == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        count=st.integers(1, 6),
+        n=st.integers(2, 40),
+        head=st.floats(0.0, 4.0),
+        tail=st.floats(-1.0, 1.0),
+        alpha=st.sampled_from([0.01, 0.05, 0.1, 0.3]),
+    )
+    def test_matches_scalar_tests_hypothesis(self, seed, count, n, head, tail, alpha):
+        stack = ball_stack(seed, count, n, (head, 0.0, 0.0, tail, 0.0))
+        assert_batch_matches_scalar(stack, alpha)

@@ -4,6 +4,9 @@ import math
 
 import pytest
 
+from pwreject import simulation
+from pwreject.distributions import RngStream
+from pwreject.models import mvn_ball, nuisance
 from pwreject.simulation import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -97,6 +100,65 @@ class TestRunExperiment:
             methods=("split_lrt", "crossfit_lrt"), replicates=20, **dict(ball, n=2)
         ))
         assert set(res.rates) == {"split_lrt", "crossfit_lrt"}
+
+
+class TestBlocks:
+    BALL = dict(model="ball", truth=(1.0, 0.0, 0.0, 0.0, 0.0), m=1,
+                methods=("pointwise", "split_lrt", "crossfit_lrt"))
+
+    def test_ball_block_matches_per_replicate_scalar_tests(self):
+        cfg = config(replicates=40, n=6, **self.BALL)
+        tests = (mvn_ball.ball_pointwise_test, mvn_ball.split_lrt_test,
+                 mvn_ball.cross_fit_lrt_test)
+        counts = [0, 0, 0]
+        for r in range(cfg.replicates):
+            sample = mvn_ball.MvnSample(
+                simulation._generate(cfg, RngStream(cfg.master_seed, r)))
+            for i, test in enumerate(tests):
+                counts[i] += test(sample, cfg.alpha).reject
+        res = run_experiment(cfg)
+        assert [res.rates[m] for m in cfg.methods] == [c / 40 for c in counts]
+
+    @pytest.mark.parametrize("cfg", [
+        config(replicates=10, n=4, **BALL),
+        config(replicates=10, n=1, **dict(BALL, methods=("pointwise",))),
+        config(replicates=11),
+        config(model="nuisance", mode="coverage", truth=(1.0, 2.0), n=5,
+               m=10, replicates=10, methods=("pointwise", "lrt")),
+    ], ids=["ball", "ball-n1", "interval", "nuisance"])
+    def test_block_length_changes_no_result(self, cfg, monkeypatch):
+        default = run_experiment(cfg)
+        assert default.config.replicates <= simulation._BLOCK_FLOATS // (cfg.n * 5)
+        # Blocks of one replicate, then of three (not a divisor of R).
+        for block in (1, 3):
+            monkeypatch.setattr(simulation, "_BLOCK_FLOATS", block * cfg.n * 5)
+            res = run_experiment(cfg)
+            assert res.rates == default.rates
+            assert res.flagged_replicates == default.flagged_replicates
+
+    def test_flagged_replicate_counts_for_no_method(self, monkeypatch):
+        # Method 0 accepts every replicate; method 1 flags every other one.
+        # A flagged replicate leaves the denominator, so it must also leave
+        # method 0's numerator (the rate was 10/5 = 2.0 when it did not).
+        calls = []
+
+        def stub_method_fn(cfg, method):
+            if method == "pointwise":
+                return lambda d: True
+
+            def flag_every_other(d):
+                calls.append(d)
+                if len(calls) % 2:
+                    raise nuisance.DegenerateFitError("stub")
+                return False
+
+            return flag_every_other
+
+        monkeypatch.setattr(simulation, "_method_fn", stub_method_fn)
+        res = run_experiment(config(replicates=10))
+        assert res.flagged_replicates == 5
+        assert res.rates == {"pointwise": 1.0, "bonferroni": 0.0}
+        assert res.margins["pointwise"] == 0.0
 
 
 class TestRunSuite:
