@@ -9,8 +9,10 @@ Exit codes: 0 success, 2 usage or validation error, 1 internal failure.
 
 import argparse
 import csv
+import functools
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -33,22 +35,27 @@ class CliError(Exception):
 def _load_columns(path, names):
     try:
         with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            header = reader.fieldnames or ()
+            header = next(csv.reader(fh), [])
             missing = [c for c in names if c not in header]
             if missing:
                 raise CliError("missing column(s) %s in %s" % (", ".join(missing), path))
-            rows = [[float(row[c]) for c in names] for row in reader]
+            duplicated = [c for c in names if header.count(c) > 1]
+            if duplicated:
+                raise CliError("duplicate column(s) %s in %s" % (", ".join(duplicated), path))
+            with warnings.catch_warnings():
+                # A header-only file is reported below as "no data rows".
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                rows = np.loadtxt(fh, dtype=float, delimiter=",", quotechar='"', comments=None,
+                                  ndmin=2, usecols=[header.index(c) for c in names])
     except OSError as exc:
         raise CliError(str(exc))
     except ValueError as exc:
         raise CliError("bad numeric value in %s: %s" % (path, exc))
-    if not rows:
+    if not len(rows):
         raise CliError("no data rows in %s" % (path,))
-    cols = np.asarray(rows, dtype=float).T
-    if not np.isfinite(cols).all():
+    if not np.isfinite(rows).all():
         raise CliError("non-finite value (nan or inf) in %s" % (path,))
-    return [cols[i] for i in range(len(names))]
+    return list(rows.T)
 
 
 def _cmd_alpha_prime(args):
@@ -121,6 +128,8 @@ def _cmd_simulate(args):
             out.close()
 
 
+# One parser per process: parse_args leaves the parser and its defaults unchanged.
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="pwreject",
@@ -173,8 +182,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         args.fn(args)
     except (CliError, ValueError) as exc:

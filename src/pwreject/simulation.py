@@ -26,6 +26,8 @@ __all__ = ["ExperimentConfig", "ExperimentResult", "run_experiment", "run_suite"
 MODES = ("type1", "power", "coverage")
 
 _MODEL_MIN_N = {"interval": 2, "or_null": 4, "nuisance": 3, "ball": 1}
+# Parameters in a truth: mu; (b1, b2); (psi, phi); theta.
+_TRUTH_LEN = {"interval": 1, "or_null": 2, "nuisance": 2, "ball": mvn_ball.DIM}
 # Sample splitting needs a nonempty half on each side.
 _METHOD_MIN_N = {"split_lrt": 2, "crossfit_lrt": 2}
 # Floats of draws per block (4 MB of float64); a block is at least one replicate.
@@ -53,6 +55,11 @@ class ExperimentConfig:
             raise ValueError("unknown model %r" % (self.model,))
         if self.mode not in MODES:
             raise ValueError("unknown mode %r" % (self.mode,))
+        if len(self.truth) != _TRUTH_LEN[self.model]:
+            raise ValueError(
+                "the %r model needs a truth of length %d, got %r"
+                % (self.model, _TRUTH_LEN[self.model], self.truth)
+            )
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
         if self.n < _MODEL_MIN_N[self.model]:

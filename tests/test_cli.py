@@ -7,9 +7,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pwreject.alpha_prime import NullSpec, alpha_prime
-from pwreject.cli import main
+from pwreject.cli import CliError, _load_columns, build_parser, main
 from pwreject.distributions import RngStream
 
 
@@ -114,6 +116,7 @@ class TestTestCommand:
     def test_empty_csv_exits_2(self, tmp_path, capsys):
         path = write_csv(tmp_path / "empty.csv", ["y"], [])
         assert main(["test", "--model", "interval", "--data", path]) == 2
+        assert "no data rows" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_value_exits_2(self, tmp_path, capsys, bad):
@@ -122,6 +125,111 @@ class TestTestCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "non-finite" in captured.err and path in captured.err
+
+
+def write_text(path, text):
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+    return str(path)
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+class TestLoader:
+    """``_load_columns``: the accepted CSV format and its exit-2 cases."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=1, max_size=40))
+    def test_round_trip_is_bit_identical_to_float(self, tmp_path_factory, values):
+        directory = tmp_path_factory.mktemp("roundtrip")
+        for fmt in (repr, "%.17g".__mod__):
+            texts = [fmt(v) for v in values]
+            path = write_text(directory / "y.csv", "y\n" + "\n".join(texts) + "\n")
+            (col,) = _load_columns(path, ("y",))
+            assert bits(col) == bits([float(t) for t in texts])
+
+    def test_columns_picked_by_name(self, tmp_path):
+        path = write_text(tmp_path / "nu.csv", "note,y,extra,x\n7,1.5,8,-2\n9,2.5,10,-3\n")
+        x, y = _load_columns(path, ("x", "y"))
+        assert x.tolist() == [-2.0, -3.0] and y.tolist() == [1.5, 2.5]
+
+    def test_quotes_crlf_and_blank_lines(self, tmp_path):
+        path = write_text(tmp_path / "q.csv", '"x","y"\r\n"1.25",2\r\n\r\n3,"-4e-3"\r\n\n')
+        x, y = _load_columns(path, ("x", "y"))
+        assert x.tolist() == [1.25, 3.0] and y.tolist() == [2.0, -4e-3]
+
+    def test_one_row_keeps_its_shape(self, tmp_path):
+        path = write_text(tmp_path / "one.csv", "y1,y2,y3,y4,y5\n1,2,3,4,5\n")
+        cols = _load_columns(path, ("y1", "y2", "y3", "y4", "y5"))
+        assert [c.shape for c in cols] == [(1,)] * 5
+        assert [c[0] for c in cols] == [1.0, 2.0, 3.0, 4.0, 5.0]
+        (y,) = _load_columns(write_text(tmp_path / "cell.csv", "y\n2.5\n"), ("y",))
+        assert y.shape == (1,) and y[0] == 2.5
+
+    def test_empty_file_exits_2(self, tmp_path, capsys):
+        path = write_text(tmp_path / "empty.csv", "")
+        assert main(["test", "--model", "interval", "--data", path]) == 2
+        assert "missing column" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cell", ["# a comment", "1_000"])
+    def test_comment_line_and_underscore_are_bad_values(self, tmp_path, capsys, cell):
+        path = write_text(tmp_path / "bad.csv", "y\n1\n%s\n2\n" % cell)
+        assert main(["test", "--model", "interval", "--data", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "bad numeric value" in captured.err
+
+    def test_short_row_in_used_column_exits_2(self, tmp_path, capsys):
+        path = write_text(tmp_path / "short.csv", "x1,x2,y\n1,2,3\n4,5\n6,7,8\n8,9,1\n2,3,4\n")
+        assert main(["test", "--model", "or_null", "--data", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err and path in captured.err
+
+    def test_short_row_in_unused_column_is_accepted(self, tmp_path):
+        path = write_text(tmp_path / "short.csv", "y,note\n1,a\n2\n3,b\n")
+        (y,) = _load_columns(path, ("y",))
+        assert y.tolist() == [1.0, 2.0, 3.0]
+
+    def test_duplicated_required_column_exits_2(self, tmp_path, capsys):
+        path = write_text(tmp_path / "dup.csv", "x,y,y\n1,2,3\n4,5,6\n")
+        with pytest.raises(CliError, match="duplicate column"):
+            _load_columns(path, ("x", "y"))
+        assert main(["confreg", "--data", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "duplicate column(s) y in " + path in captured.err
+
+    def test_duplicated_unused_column_is_allowed(self, tmp_path):
+        path = write_text(tmp_path / "dup.csv", "note,y,note\na,1,b\nc,2,d\n")
+        (y,) = _load_columns(path, ("y",))
+        assert y.tolist() == [1.0, 2.0]
+
+
+class TestParserReuse:
+    """``main`` parses every call with one parser; no call leaks into the next."""
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_format_does_not_stick(self, interval_csv, capsys):
+        argv = ["test", "--model", "interval", "--data", interval_csv]
+        assert main(argv + ["--format", "json"]) == 0
+        json.loads(capsys.readouterr().out)
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("decision: ")
+
+    def test_option_value_does_not_become_the_default(self, nuisance_csv, capsys):
+        assert main(["confreg", "--data", nuisance_csv, "--m", "50"]) == 0
+        with_default_m = capsys.readouterr().out
+        assert main(["confreg", "--data", nuisance_csv, "--m", "7"]) == 0
+        capsys.readouterr()
+        assert main(["confreg", "--data", nuisance_csv]) == 0
+        assert capsys.readouterr().out == with_default_m
+        assert build_parser().parse_args(["confreg", "--data", nuisance_csv]).m == 50
 
 
 class TestConfreg:

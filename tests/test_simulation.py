@@ -87,6 +87,18 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_experiment(config(methods=("nope",)))
 
+    @pytest.mark.parametrize("model, truth", [
+        ("ball", (1.0,)),
+        ("interval", (0.0, 5.0)),
+        ("or_null", (1.0,)),
+        ("nuisance", (1.0, 2.0, 3.0)),
+        ("ball", (1.0, 0.0, 0.0, 0.0, 0.0, 0.0)),
+    ])
+    def test_truth_length_must_match_model(self, model, truth):
+        # A wrong length used to broadcast (ball) or be cut short (interval).
+        with pytest.raises(ValueError, match="truth of length"):
+            config(model=model, truth=truth, m=10)
+
     def test_split_methods_need_two_observations(self):
         # Sample splitting at n = 1 leaves an empty half; the config must
         # refuse it instead of run_experiment crashing mid-run.
