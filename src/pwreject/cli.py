@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 usage or validation error, 1 internal failure.
 """
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -95,12 +96,25 @@ def _cmd_test(args):
         print("test points: %d" % decision.n_points)
 
 
+@contextlib.contextmanager
+def _opened_out(path):
+    """The ``--out`` stream: stdout for "-", else ``path`` opened for writing."""
+    if path == "-":
+        yield sys.stdout
+        return
+    try:
+        out = open(path, "w", newline="")
+    except OSError as exc:
+        raise CliError("cannot write %s: %s" % (path, exc.strerror or exc))
+    with out:
+        yield out
+
+
 def _cmd_confreg(args):
     x, y = _load_columns(args.data, _DATA_COLUMNS["nuisance"])
     data = nuisance.XYData(x, y)
     region = nuisance.psi_region_F(data, args.alpha, args.m, args.width)
-    out = sys.stdout if args.out == "-" else open(args.out, "w", newline="")
-    try:
+    with _opened_out(args.out) as out:
         if args.format == "json":
             out.write(json.dumps([[lo, hi] for lo, hi in region]) + "\n")
         else:
@@ -108,24 +122,18 @@ def _cmd_confreg(args):
             writer.writerow(["lo", "hi"])
             for lo, hi in region:
                 writer.writerow([repr(lo), repr(hi)])
-    finally:
-        if out is not sys.stdout:
-            out.close()
 
 
 def _cmd_simulate(args):
-    rows = run_suite(args.suite, args.seed, args.scale)
-    out = sys.stdout if args.out == "-" else open(args.out, "w", newline="")
-    try:
+    # Open --out first, so a bad path fails before the suite runs.
+    with _opened_out(args.out) as out:
+        rows = run_suite(args.suite, args.seed, args.scale)
         if args.format == "json":
             out.write(json.dumps(rows) + "\n")
         else:
             writer = csv.DictWriter(out, fieldnames=CSV_COLUMNS, lineterminator="\n")
             writer.writeheader()
             writer.writerows(rows)
-    finally:
-        if out is not sys.stdout:
-            out.close()
 
 
 # One parser per process: parse_args leaves the parser and its defaults unchanged.

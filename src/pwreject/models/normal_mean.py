@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from pwreject.alpha_prime import _check_alpha
 from pwreject.distributions import t_cdf, t_quantile
 from pwreject.testing import TestDecision
 
@@ -77,11 +78,20 @@ def _max_interval_p(sample, a, b):
 
 
 def interval_null_test(sample, a, b, alpha):
-    """Pointwise-rejection test of H0: mu in [a, b] in closed form."""
+    """Pointwise-rejection test of H0: mu in [a, b] in closed form.
+
+    alpha' = 2 * alpha needs 0 < alpha < 1/2; alpha == 1 is the degenerate
+    limit alpha' = 1, as in
+    :func:`pwreject.alpha_prime.alpha_prime_with_boundary`.
+    """
     if a > b:
         raise ValueError("interval endpoints out of order: a > b")
+    if alpha == 1.0:
+        ap = 1.0
+    else:
+        _check_alpha(alpha, 0.5)
+        ap = 2.0 * alpha
     max_p = _max_interval_p(sample, a, b)
-    ap = 2.0 * alpha
     return TestDecision(max_p <= ap, max_p, ap, 0)
 
 

@@ -3,12 +3,15 @@
 Each replicate r draws its own RNG stream from (master_seed, r), generates
 one dataset under the configured truth, and applies every requested method
 to that same dataset.  Replicates are generated serially, in order, and
-decided in blocks of consecutive replicates: the ball model stacks a
-block's draws into one (B, n, 5) array and decides it with one batched call
-(:func:`pwreject.models.mvn_ball.decide_batch`), while the other models
-decide each dataset of the block with their per-sample tests.  A block
-holds at most about 4 MB of draws.  Aggregation is pure counting, so a
-seed fixes every rate bit for bit, whatever the block length.
+decided in blocks of consecutive replicates.  The ball and nuisance models
+stack a block's draws and decide it with one batched call
+(:func:`pwreject.models.mvn_ball.decide_batch` on (B, n, 5) draws,
+:func:`pwreject.models.nuisance.decide_batch` on (B, n) x and y), while the
+interval and or_null models decide each dataset of the block with their
+per-sample tests.  A block's largest array holds at most about 4 MB: the
+(B, n, 5) draws, or the nuisance model's (B, m, n) proxy regressors.
+Aggregation is pure counting, so a seed fixes every rate bit for bit,
+whatever the block length.
 """
 
 import math
@@ -30,7 +33,8 @@ _MODEL_MIN_N = {"interval": 2, "or_null": 4, "nuisance": 3, "ball": 1}
 _TRUTH_LEN = {"interval": 1, "or_null": 2, "nuisance": 2, "ball": mvn_ball.DIM}
 # Sample splitting needs a nonempty half on each side.
 _METHOD_MIN_N = {"split_lrt": 2, "crossfit_lrt": 2}
-# Floats of draws per block (4 MB of float64); a block is at least one replicate.
+# Floats in a block's largest array (4 MB of float64); a block is at least
+# one replicate.
 _BLOCK_FLOATS = 2**19
 
 
@@ -108,7 +112,8 @@ def _generate(config, stream):
         psi, phi = config.truth
         x = g.standard_normal(config.n)
         eps = config.sigma * g.standard_normal(config.n)
-        return nuisance.XYData(x, psi * phi * x + psi * phi * phi + eps)
+        # Raw (x, y) draws: the nuisance model decides a stack of them at once.
+        return x, psi * phi * x + psi * phi * phi + eps
     if config.model == "ball":
         # Raw (n, 5) draws: the ball model decides a stack of them at once.
         theta = np.asarray(config.truth, dtype=float)
@@ -119,9 +124,9 @@ def _generate(config, stream):
 def _method_fn(config, method):
     """Dataset -> bool (rejection, or region-contains-truth for coverage).
 
-    Every model but ball, which is decided a block at a time.
+    Every model but ball and nuisance, which are decided a block at a time.
     """
-    model, mode, alpha, m = config.model, config.mode, config.alpha, config.m
+    model, alpha, m = config.model, config.alpha, config.m
     if model == "interval":
         if method == "pointwise":
             return lambda d: normal_mean.interval_null_test(d, config.a, config.b, alpha).reject
@@ -130,18 +135,6 @@ def _method_fn(config, method):
     elif model == "or_null":
         if method == "pointwise":
             return lambda d: linear_or.or_null_test(d, alpha, max(1, m // 2)).reject
-    elif model == "nuisance":
-        if mode == "coverage":
-            psi_true = config.truth[0]
-            if method == "pointwise":
-                return lambda d: nuisance.psi_region_F(d, alpha, m).contains(psi_true)
-            if method == "lrt":
-                return lambda d: nuisance.psi_region_LRT(d, alpha, m).contains(psi_true)
-        else:
-            if method == "pointwise":
-                return lambda d: nuisance.psi_pointwise_test(d, config.psi0, alpha, m).reject
-            if method == "lrt":
-                return lambda d: nuisance.psi_lrt_test(d, config.psi0, alpha, m).reject
     raise ValueError("method %r not available for model %r" % (method, model))
 
 
@@ -162,6 +155,22 @@ def _block_decider(config):
 
         return decide
 
+    if config.model == "nuisance":
+        if config.mode == "coverage":
+            mode, psi = "coverage", config.truth[0]
+        else:
+            mode, psi = "test", config.psi0
+
+        def decide(datasets, size):
+            x = np.empty((size, config.n))
+            y = np.empty((size, config.n))
+            for row, (x_draws, y_draws) in enumerate(datasets):
+                x[row] = x_draws
+                y[row] = y_draws
+            return nuisance.decide_batch(x, y, mode, config.methods, config.alpha, config.m, psi)
+
+        return decide
+
     fns = [_method_fn(config, method) for method in config.methods]
 
     def decide(datasets, size):
@@ -177,11 +186,25 @@ def _block_decider(config):
     return decide
 
 
+def _block_length(config):
+    """Replicates per block, so that the block's largest array fits _BLOCK_FLOATS.
+
+    That array is the (B, m, n) proxy regressor tensor for the nuisance
+    model and the (B, n, 5) draws for the ball model; interval and or_null
+    blocks take the ball model's length.
+    """
+    if config.model == "nuisance":
+        per_replicate = max(config.m, 1) * config.n
+    else:
+        per_replicate = config.n * mvn_ball.DIM
+    return max(1, _BLOCK_FLOATS // per_replicate)
+
+
 def run_experiment(config):
     """Run one Monte Carlo experiment; returns per-method rates and margins."""
     start_time = time.perf_counter()
     decide = _block_decider(config)
-    block = max(1, _BLOCK_FLOATS // (config.n * mvn_ball.DIM))
+    block = _block_length(config)
     counts = [0] * len(config.methods)
     flagged = 0
     for lo in range(0, config.replicates, block):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pwreject import cli
 from pwreject.alpha_prime import NullSpec, alpha_prime
 from pwreject.cli import CliError, _load_columns, build_parser, main
 from pwreject.distributions import RngStream
@@ -117,6 +118,14 @@ class TestTestCommand:
         path = write_csv(tmp_path / "empty.csv", ["y"], [])
         assert main(["test", "--model", "interval", "--data", path]) == 2
         assert "no data rows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha", ["2", "-1", "0.5"])
+    def test_interval_alpha_out_of_range_exits_2(self, interval_csv, capsys, alpha):
+        assert main(["test", "--model", "interval", "--data", interval_csv,
+                     "--alpha", alpha]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "significance level must lie in" in captured.err
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_value_exits_2(self, tmp_path, capsys, bad):
@@ -249,6 +258,13 @@ class TestConfreg:
             intervals = json.load(fh)
         assert intervals and all(len(iv) == 2 for iv in intervals)
 
+    def test_unwritable_out_exits_2(self, nuisance_csv, tmp_path, capsys):
+        out_path = str(tmp_path / "no" / "such" / "region.csv")
+        assert main(["confreg", "--data", nuisance_csv, "--out", out_path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert out_path in captured.err
+
 
 class TestSimulate:
     def run_simulate(self, tmp_path, name):
@@ -275,6 +291,14 @@ class TestSimulate:
 
     def test_bad_scale_exits_2(self, capsys):
         assert main(["simulate", "--suite", "table1", "--scale", "0"]) == 2
+
+    def test_unwritable_out_exits_2_before_the_suite_runs(self, tmp_path, capsys, monkeypatch):
+        runs = []
+        monkeypatch.setattr(cli, "run_suite", lambda *args: runs.append(args) or [])
+        out_path = str(tmp_path / "no" / "such" / "rows.csv")
+        assert main(["simulate", "--suite", "fig3", "--out", out_path]) == 2
+        assert runs == []
+        assert out_path in capsys.readouterr().err
 
     def test_unknown_suite_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

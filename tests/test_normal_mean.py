@@ -72,6 +72,17 @@ class TestIntervalTest:
         with pytest.raises(ValueError):
             nm.interval_null_test(sample(), 1.0, 0.0, 0.05)
 
+    def test_alpha_range(self):
+        # alpha' = 2 * alpha exactly inside (0, 1/2); alpha == 1 is the
+        # degenerate limit alpha' = 1; anything else is refused.
+        s = sample()
+        assert nm.interval_null_test(s, 0.0, 1.0, 0.05).alpha_prime_used == 0.1
+        dec = nm.interval_null_test(s, 0.0, 1.0, 1.0)
+        assert dec.alpha_prime_used == 1.0 and dec.reject
+        for alpha in (2.0, -1.0, 0.0, 0.5, 0.7):
+            with pytest.raises(ValueError, match="significance level must lie in"):
+                nm.interval_null_test(s, 0.0, 1.0, alpha)
+
 
 class TestBonferroni:
     def test_one_sided_split(self):

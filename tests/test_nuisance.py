@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pwreject.distributions import RngStream, f_quantile
 from pwreject.models import nuisance as nu
@@ -233,3 +235,155 @@ def test_one_ols_fit_per_call(monkeypatch, name):
     monkeypatch.setattr(nu, "ols_line_fit", counted)
     getattr(nu, name)(make_data(seed=4), *ONE_CALL_ARGS[name])
     assert len(calls) == 1
+
+
+def xy_stack(seed, count, n, psi=1.0, phi=2.0, sigma=1.0):
+    """(x, y) of ``count`` datasets drawn as the harness draws them."""
+    g = RngStream(seed).generator
+    x = g.standard_normal((count, n))
+    y = psi * phi * x + psi * phi * phi + sigma * g.standard_normal((count, n))
+    return x, y
+
+
+SCALAR_DECISIONS = {
+    ("coverage", "pointwise"): lambda d, alpha, m, psi: nu.psi_region_F(d, alpha, m).contains(psi),
+    ("coverage", "lrt"): lambda d, alpha, m, psi: nu.psi_region_LRT(d, alpha, m).contains(psi),
+    ("test", "pointwise"): lambda d, alpha, m, psi: nu.psi_pointwise_test(d, psi, alpha, m).reject,
+    ("test", "lrt"): lambda d, alpha, m, psi: nu.psi_lrt_test(d, psi, alpha, m).reject,
+}
+
+
+def assert_batch_matches_scalar(x, y, mode, alpha, m, psi, methods=nu.BATCH_METHODS):
+    """decide_batch against the per-dataset functions; returns the hits."""
+    hits, flagged = nu.decide_batch(x, y, mode, methods, alpha, m, psi)
+    want = [[] for _ in methods]
+    want_flagged = 0
+    for x_row, y_row in zip(x, y):
+        data = nu.XYData(x_row, y_row)
+        try:
+            row = [SCALAR_DECISIONS[mode, name](data, alpha, m, psi) for name in methods]
+        except nu.DegenerateFitError:
+            want_flagged += 1
+            continue
+        for column, value in zip(want, row):
+            column.append(value)
+    assert flagged == want_flagged
+    assert [h.dtype for h in hits] == [np.dtype(bool)] * len(methods)
+    assert [h.tolist() for h in hits] == want
+    return hits
+
+
+class TestDecideBatch:
+    @pytest.mark.parametrize("n", [3, 5, 30])
+    @pytest.mark.parametrize("mode", ["coverage", "test"])
+    def test_matches_scalar_functions(self, n, mode):
+        outcomes = set()
+        for psi, m in ((0.6, 7), (1.0, 50), (1.4, 100)):
+            x, y = xy_stack(n, 40, n)
+            for alpha in (0.05, 0.2):
+                hits = assert_batch_matches_scalar(x, y, mode, alpha, m, psi)
+                outcomes.update(np.concatenate(hits).tolist())
+        assert outcomes == {True, False}
+
+    def test_statistics_match_per_dataset_bit_for_bit(self):
+        x, y = xy_stack(5, 60, 17)
+        b0, b1, rss_alt, degenerate = nu._line_fit_rows(x, y)
+        assert not degenerate.any()
+        grid = nu.proxy_phi_grid((b0 / b1)[:, None], 17, 9, nu.REGION_WIDTH)
+        g = nu._regressor_rows(grid, x)
+        for row, (x_row, y_row) in enumerate(zip(x, y)):
+            data = nu.XYData(x_row, y_row)
+            assert (b0[row], b1[row], rss_alt[row]) == nu.ols_line_fit(data)
+            assert np.array_equal(grid[row], nu.proxy_phi_grid(
+                nu.fit_psi_phi(data)[1], 17, 9, nu.REGION_WIDTH))
+            assert np.array_equal(g[row], nu._proxy_regressors(data, 9, nu.REGION_WIDTH)[1])
+
+    def test_membership_at_interval_endpoints(self):
+        # psi exactly at an endpoint of the region is inside (closed
+        # intervals); one float beyond it is outside unless another
+        # interval covers it.
+        x, y = xy_stack(11, 8, 6)
+        for x_row, y_row in zip(x, y):
+            region = nu.psi_region_F(nu.XYData(x_row, y_row), 0.05, 9)
+            for lo, hi in region:
+                for psi in (lo, hi, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)):
+                    hits, _ = nu.decide_batch(x_row[None], y_row[None], "coverage",
+                                              ("pointwise",), 0.05, 9, psi)
+                    assert hits[0][0] == region.contains(psi)
+
+    def test_flat_rows_match_region(self):
+        # A zero regressor row (phi_t = 0) accepts every psi or none, alone
+        # or next to a curved row; the endpoint comparisons agree with the
+        # merged Region1D.
+        data = nu.XYData([1.0, -0.5, 0.25], [0.1, -0.1, 0.0])
+        c = float(np.sum(data.y**2))
+        for phis in ([0.0], [0.0, 1.0], [1.0, 0.0, -0.5]):
+            g = regressor_rows(data, phis)
+            a = np.sum(g * g, axis=1)[None]
+            b = np.sum(data.y * g, axis=1)[None]
+            for thr in (1e9, 1e-9, 0.99 * c, c):
+                region = nu._accepted_psi(data.y, g, thr)
+                for psi in (-1e8, -0.3, 0.0, 0.1, 0.5, 1e8):
+                    got = nu._contains(psi, a, b, np.array([c]), np.array([thr]))
+                    assert got.tolist() == [region.contains(psi)]
+
+    @pytest.mark.parametrize("mode", ["coverage", "test"])
+    def test_degenerate_rows_are_flagged(self, mode):
+        x, y = xy_stack(3, 5, 3)
+        x[1] = 1.0                      # constant covariate: sxx == 0
+        y[2] = 3.0                      # constant response: b1 == 0
+        x[3], y[3] = (-1.0, 0.0, 1.0), (-2.0, 0.5, 1.5)  # b0 == 0
+        for row in (1, 2, 3):
+            with pytest.raises(nu.DegenerateFitError):
+                nu.fit_psi_phi(nu.XYData(x[row], y[row]))
+        hits = assert_batch_matches_scalar(x, y, mode, 0.05, 20, 1.0)
+        assert [len(h) for h in hits] == [2, 2]
+        kept, flagged = nu.decide_batch(x[[0, 4]], y[[0, 4]], mode, nu.BATCH_METHODS, 0.05, 20, 1.0)
+        assert flagged == 0
+        assert [h.tolist() for h in kept] == [h.tolist() for h in hits]
+        everything, flagged = nu.decide_batch(x[1:4], y[1:4], mode, nu.BATCH_METHODS, 0.05, 20, 1.0)
+        assert flagged == 3 and [h.tolist() for h in everything] == [[], []]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_data_raise(self, bad):
+        for which in (0, 1):
+            arrays = list(xy_stack(4, 3, 5))
+            arrays[which][1, 2] = bad
+            with pytest.raises(ValueError):
+                nu.XYData(arrays[0][1], arrays[1][1])
+            with pytest.raises(ValueError, match="finite"):
+                nu.decide_batch(*arrays, "coverage", ("pointwise",), 0.05, 10, 1.0)
+
+    def test_validation(self):
+        x, y = xy_stack(0, 2, 5)
+        for args in (
+            (x, y[:, :4], "coverage", ("pointwise",), 0.05, 10, 1.0),
+            (x[0], y[0], "coverage", ("pointwise",), 0.05, 10, 1.0),
+            (x[:, :2], y[:, :2], "coverage", ("pointwise",), 0.05, 10, 1.0),
+            (x, y, "power", ("pointwise",), 0.05, 10, 1.0),
+            (x, y, "test", ("pointwise", "nope"), 0.05, 10, 1.0),
+            (x, y, "test", ("pointwise",), 0.05, 0, 1.0),
+            (x, y, "test", ("pointwise",), 1.5, 10, 1.0),
+        ):
+            with pytest.raises(ValueError):
+                nu.decide_batch(*args)
+        assert nu.decide_batch(x, y, "test", (), 0.05, 10, 1.0) == ([], 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        count=st.integers(1, 6),
+        n=st.integers(3, 40),
+        psi_true=st.floats(0.3, 2.0),
+        phi=st.floats(-3.0, 3.0),
+        sigma=st.sampled_from([0.1, 1.0, 3.0]),
+        mode=st.sampled_from(["coverage", "test"]),
+        psi=st.floats(0.0, 2.0),
+        alpha=st.sampled_from([0.01, 0.05, 0.1, 0.3]),
+        m=st.integers(1, 60),
+    )
+    def test_matches_scalar_functions_hypothesis(
+        self, seed, count, n, psi_true, phi, sigma, mode, psi, alpha, m
+    ):
+        x, y = xy_stack(seed, count, n, psi_true, phi, sigma)
+        assert_batch_matches_scalar(x, y, mode, alpha, m, psi)

@@ -131,22 +131,72 @@ class TestBlocks:
         res = run_experiment(cfg)
         assert [res.rates[m] for m in cfg.methods] == [c / 40 for c in counts]
 
+    NUISANCE = dict(model="nuisance", truth=(1.0, 2.0), n=5, m=10, replicates=10,
+                    methods=("pointwise", "lrt"))
+
+    @staticmethod
+    def spy_block_sizes(monkeypatch):
+        """Record the length of every block the harness decides."""
+        sizes = []
+        make = simulation._block_decider
+
+        def spying(cfg):
+            decide = make(cfg)
+
+            def recorded(datasets, size):
+                sizes.append(size)
+                return decide(datasets, size)
+
+            return recorded
+
+        monkeypatch.setattr(simulation, "_block_decider", spying)
+        return sizes
+
     @pytest.mark.parametrize("cfg", [
         config(replicates=10, n=4, **BALL),
         config(replicates=10, n=1, **dict(BALL, methods=("pointwise",))),
         config(replicates=11),
-        config(model="nuisance", mode="coverage", truth=(1.0, 2.0), n=5,
-               m=10, replicates=10, methods=("pointwise", "lrt")),
-    ], ids=["ball", "ball-n1", "interval", "nuisance"])
+        config(mode="coverage", **NUISANCE),
+        config(mode="power", **dict(NUISANCE, truth=(1.5, 2.0))),
+    ], ids=["ball", "ball-n1", "interval", "nuisance", "nuisance-power"])
     def test_block_length_changes_no_result(self, cfg, monkeypatch):
+        # Floats of the largest per-replicate array: the (m, n) proxy
+        # regressors for nuisance, the (n, 5) draws otherwise.
+        per_replicate = cfg.m * cfg.n if cfg.model == "nuisance" else cfg.n * 5
+        sizes = self.spy_block_sizes(monkeypatch)
         default = run_experiment(cfg)
-        assert default.config.replicates <= simulation._BLOCK_FLOATS // (cfg.n * 5)
+        assert sizes == [cfg.replicates]
         # Blocks of one replicate, then of three (not a divisor of R).
         for block in (1, 3):
-            monkeypatch.setattr(simulation, "_BLOCK_FLOATS", block * cfg.n * 5)
+            monkeypatch.setattr(simulation, "_BLOCK_FLOATS", block * per_replicate)
+            sizes.clear()
             res = run_experiment(cfg)
+            whole, rest = divmod(cfg.replicates, block)
+            assert sizes == [block] * whole + [rest] * (rest > 0)
             assert res.rates == default.rates
             assert res.flagged_replicates == default.flagged_replicates
+
+    def test_nuisance_block_bounds_the_regressor_tensor(self, monkeypatch):
+        # Every fig3 and fig4 setting at full scale: the (B, m, n) proxy
+        # regressors of a block fit _BLOCK_FLOATS, and one more replicate
+        # would not.
+        kwargs = simulation._suite_configs("fig3", 1.0) + simulation._suite_configs("fig4", 1.0)
+        for cfg in (ExperimentConfig(master_seed=0, **kw) for kw in kwargs):
+            block = simulation._block_length(cfg)
+            assert block * cfg.m * cfg.n <= simulation._BLOCK_FLOATS
+            assert (block + 1) * cfg.m * cfg.n > simulation._BLOCK_FLOATS
+        # The harness hands the batch arrays of that many rows.
+        shapes = []
+        batch = nuisance.decide_batch
+
+        def recorded(x, y, *args):
+            shapes.append(x.shape)
+            return batch(x, y, *args)
+
+        monkeypatch.setattr(nuisance, "decide_batch", recorded)
+        monkeypatch.setattr(simulation, "_BLOCK_FLOATS", 2000)
+        run_experiment(config(mode="power", **dict(self.NUISANCE, n=10, m=100, replicates=5)))
+        assert shapes == [(2, 10), (2, 10), (1, 10)]
 
     def test_flagged_replicate_counts_for_no_method(self, monkeypatch):
         # Method 0 accepts every replicate; method 1 flags every other one.
