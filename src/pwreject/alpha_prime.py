@@ -134,3 +134,9 @@ def _check_alpha(alpha, upper):
         raise ValueError(
             "significance level must lie in (0, %g), got %r" % (upper, alpha)
         )
+
+
+def _check_level(alpha):
+    """Refuse a level outside (0, 1]; alpha == 1 is the legal degenerate level."""
+    if alpha != 1.0:
+        _check_alpha(alpha, 1.0)

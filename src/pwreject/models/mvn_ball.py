@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pwreject.alpha_prime import NullSpec
+from pwreject.alpha_prime import NullSpec, _check_level
 from pwreject.distributions import chi2_cdf
 from pwreject.testing import TestDecision, decide, lrt_decision_subspace, rejections
 
@@ -148,6 +148,7 @@ def _split_log_ratios(sample, theta_t):
 
 def split_lrt_test(sample, alpha):
     """Universal split LRT at the single projection test point."""
+    _check_level(alpha)
     log_u1, _ = _split_log_ratios(sample, sample.null_projection)
     # U1 > 1/alpha expressed through the e-value's implied p-value 1/U1.
     p = _e_value_p(log_u1)
@@ -156,6 +157,7 @@ def split_lrt_test(sample, alpha):
 
 def cross_fit_lrt_test(sample, alpha):
     """Universal cross-fit LRT: (U1 + U2) / 2 compared with 1/alpha."""
+    _check_level(alpha)
     log_u1, log_u2 = _split_log_ratios(sample, sample.null_projection)
     p = _e_value_p(np.logaddexp(log_u1, log_u2) - math.log(2.0))
     return TestDecision(p < alpha, p, alpha, 1)
@@ -181,6 +183,7 @@ def decide_batch(stack, methods, alpha):
         raise ValueError("method %r not available for the ball model" % (unknown[0],))
     if not np.isfinite(stack).all():
         raise ValueError("observations must be finite (no nan or inf)")
+    _check_level(alpha)
     n = stack.shape[1]
     mean = stack.mean(axis=1)
     proj = _project_rows_to_null(mean)

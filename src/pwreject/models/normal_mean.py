@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pwreject.alpha_prime import _check_alpha
+from pwreject.alpha_prime import _check_alpha, _check_level
 from pwreject.distributions import t_cdf, t_quantile
 from pwreject.testing import TestDecision
 
@@ -103,6 +103,7 @@ def bonferroni_interval_test(sample, a, b, alpha):
     """
     if a > b:
         raise ValueError("interval endpoints out of order: a > b")
+    _check_level(alpha)
     se = _standard_error(sample)
     xbar = sample.mean
     nu = sample.n - 1

@@ -3,15 +3,16 @@
 Each replicate r draws its own RNG stream from (master_seed, r), generates
 one dataset under the configured truth, and applies every requested method
 to that same dataset.  Replicates are generated serially, in order, and
-decided in blocks of consecutive replicates.  The ball and nuisance models
-stack a block's draws and decide it with one batched call
-(:func:`pwreject.models.mvn_ball.decide_batch` on (B, n, 5) draws,
-:func:`pwreject.models.nuisance.decide_batch` on (B, n) x and y), while the
-interval and or_null models decide each dataset of the block with their
-per-sample tests.  A block's largest array holds at most about 4 MB: the
-(B, n, 5) draws, or the nuisance model's (B, m, n) proxy regressors.
-Aggregation is pure counting, so a seed fixes every rate bit for bit,
-whatever the block length.
+decided in blocks of consecutive replicates along one path for every
+model: a block's data columns are stacked into (B, ...) arrays and handed
+to one decision call.  The ball and nuisance models decide the whole
+stack at once (:func:`pwreject.models.mvn_ball.decide_batch` on the
+(B, n, 5) draws, :func:`pwreject.models.nuisance.decide_batch` on the
+(B, n) x and y); the interval and or_null models decide it row by row
+with their per-sample tests.  A block's largest array holds at most about
+4 MB: the (B, n, 5) draws, or the nuisance model's (B, m, n) proxy
+regressors.  Aggregation is pure counting, so a seed fixes every rate bit
+for bit, whatever the block length.
 """
 
 import math
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from pwreject.alpha_prime import _check_level
 from pwreject.distributions import RngStream
 from pwreject.models import linear_or, mvn_ball, normal_mean, nuisance
 from pwreject.models import MODEL_IDS
@@ -31,6 +33,12 @@ MODES = ("type1", "power", "coverage")
 _MODEL_MIN_N = {"interval": 2, "or_null": 4, "nuisance": 3, "ball": 1}
 # Parameters in a truth: mu; (b1, b2); (psi, phi); theta.
 _TRUTH_LEN = {"interval": 1, "or_null": 2, "nuisance": 2, "ball": mvn_ball.DIM}
+_MODEL_METHODS = {
+    "interval": ("pointwise", "bonferroni"),
+    "or_null": ("pointwise",),
+    "nuisance": nuisance.BATCH_METHODS,
+    "ball": mvn_ball.BATCH_METHODS,
+}
 # Sample splitting needs a nonempty half on each side.
 _METHOD_MIN_N = {"split_lrt": 2, "crossfit_lrt": 2}
 # Floats in a block's largest array (4 MB of float64); a block is at least
@@ -46,13 +54,10 @@ class ExperimentConfig:
     n: int
     replicates: int
     alpha: float
-    m: int
+    m: int  # nuisance proxy points; or_null test points, m / 2 per boundary arm
     master_seed: int
     methods: tuple
-    a: float = 0.0  # interval-null lower endpoint
-    b: float = 1.0  # interval-null upper endpoint
     psi0: float = 1.0  # tested psi value for the nuisance model
-    sigma: float = 1.0  # noise standard deviation
 
     def __post_init__(self):
         if self.model not in MODEL_IDS:
@@ -71,9 +76,18 @@ class ExperimentConfig:
                 "n=%d is below the %r model minimum %d"
                 % (self.n, self.model, _MODEL_MIN_N[self.model])
             )
+        _check_level(self.alpha)
+        if self.model == "or_null" and (self.m < 2 or self.m % 2):
+            raise ValueError("the 'or_null' model needs an even m >= 2, got %r" % (self.m,))
+        if self.model == "nuisance" and self.m < 1:
+            raise ValueError("the 'nuisance' model needs m >= 1, got %r" % (self.m,))
         if not self.methods:
             raise ValueError("at least one method is required")
         for method in self.methods:
+            if method not in _MODEL_METHODS[self.model]:
+                raise ValueError(
+                    "method %r not available for model %r" % (method, self.model)
+                )
             if self.n < _METHOD_MIN_N.get(method, 1):
                 raise ValueError(
                     "n=%d is below the %r method minimum %d"
@@ -95,95 +109,68 @@ def margin_of_error(rate, count):
     return 1.96 * math.sqrt(rate * (1.0 - rate) / count)
 
 
-def _generate(config, stream):
-    g = stream.generator
+def _draw(config, g):
+    """One replicate's data columns, drawn from the generator ``g``.
+
+    (y,) for interval, (x1, x2, y) for or_null, (x, y) for nuisance and the
+    (n, 5) draws for ball; the noise has unit standard deviation.
+    """
+    n = config.n
     if config.model == "interval":
-        mu = config.truth[0]
-        return normal_mean.UnivariateSample(
-            mu + config.sigma * g.standard_normal(config.n)
-        )
+        return (config.truth[0] + g.standard_normal(n),)
     if config.model == "or_null":
         b1, b2 = config.truth
-        x = g.standard_normal((config.n, 2))
-        eps = config.sigma * g.standard_normal(config.n)
-        y = b1 * x[:, 0] + b2 * x[:, 1] + eps
-        return linear_or.RegressionData(x[:, 0], x[:, 1], y)
+        x = g.standard_normal((n, 2))
+        eps = g.standard_normal(n)
+        return x[:, 0], x[:, 1], b1 * x[:, 0] + b2 * x[:, 1] + eps
     if config.model == "nuisance":
         psi, phi = config.truth
-        x = g.standard_normal(config.n)
-        eps = config.sigma * g.standard_normal(config.n)
-        # Raw (x, y) draws: the nuisance model decides a stack of them at once.
+        x = g.standard_normal(n)
+        eps = g.standard_normal(n)
         return x, psi * phi * x + psi * phi * phi + eps
-    if config.model == "ball":
-        # Raw (n, 5) draws: the ball model decides a stack of them at once.
-        theta = np.asarray(config.truth, dtype=float)
-        return theta + g.standard_normal((config.n, mvn_ball.DIM))
-    raise AssertionError(config.model)
+    return (np.asarray(config.truth, dtype=float) + g.standard_normal((n, mvn_ball.DIM)),)
 
 
-def _method_fn(config, method):
-    """Dataset -> bool (rejection, or region-contains-truth for coverage).
-
-    Every model but ball and nuisance, which are decided a block at a time.
-    """
-    model, alpha, m = config.model, config.alpha, config.m
-    if model == "interval":
-        if method == "pointwise":
-            return lambda d: normal_mean.interval_null_test(d, config.a, config.b, alpha).reject
-        if method == "bonferroni":
-            return lambda d: normal_mean.bonferroni_interval_test(d, config.a, config.b, alpha).reject
-    elif model == "or_null":
-        if method == "pointwise":
-            return lambda d: linear_or.or_null_test(d, alpha, max(1, m // 2)).reject
-    raise ValueError("method %r not available for model %r" % (method, model))
+def _stack(config, lo, size):
+    """The data columns of replicates lo .. lo + size - 1, each stacked as (size, ...)."""
+    columns = None
+    for row in range(size):
+        drawn = _draw(config, RngStream(config.master_seed, lo + row).generator)
+        if columns is None:
+            columns = tuple(np.empty((size,) + column.shape) for column in drawn)
+        for stack, column in zip(columns, drawn):
+            stack[row] = column
+    return columns
 
 
-def _block_decider(config):
-    """decide(datasets, size) -> (hits, flagged) for one block.
+def _decide(config, columns):
+    """(hits, flagged) for one block of stacked data columns.
 
-    ``datasets`` yields the block's ``size`` datasets in replicate order.
     ``hits`` holds one bool sequence per method over the replicates that no
     method flagged as degenerate; ``flagged`` counts the others, whose
-    results count for no method.
+    results count for no method.  Only the nuisance model flags.
     """
+    methods, alpha = config.methods, config.alpha
     if config.model == "ball":
-        def decide(datasets, size):
-            stack = np.empty((size, config.n, mvn_ball.DIM))
-            for row, draws in zip(stack, datasets):
-                row[...] = draws
-            return mvn_ball.decide_batch(stack, config.methods, config.alpha), 0
-
-        return decide
-
+        return mvn_ball.decide_batch(columns[0], methods, alpha), 0
     if config.model == "nuisance":
         if config.mode == "coverage":
             mode, psi = "coverage", config.truth[0]
         else:
             mode, psi = "test", config.psi0
-
-        def decide(datasets, size):
-            x = np.empty((size, config.n))
-            y = np.empty((size, config.n))
-            for row, (x_draws, y_draws) in enumerate(datasets):
-                x[row] = x_draws
-                y[row] = y_draws
-            return nuisance.decide_batch(x, y, mode, config.methods, config.alpha, config.m, psi)
-
-        return decide
-
-    fns = [_method_fn(config, method) for method in config.methods]
-
-    def decide(datasets, size):
-        kept = []
-        flagged = 0
-        for data in datasets:
-            try:
-                kept.append([fn(data) for fn in fns])
-            except nuisance.DegenerateFitError:
-                flagged += 1
-        return list(zip(*kept)), flagged
-
-    return decide
+        return nuisance.decide_batch(*columns, mode, methods, alpha, config.m, psi)
+    if config.model == "interval":
+        # The interval null is [a, b] = [0, 1].
+        datasets = map(normal_mean.UnivariateSample, columns[0])
+        tests = {
+            "pointwise": lambda d: normal_mean.interval_null_test(d, 0.0, 1.0, alpha),
+            "bonferroni": lambda d: normal_mean.bonferroni_interval_test(d, 0.0, 1.0, alpha),
+        }
+    else:
+        datasets = (linear_or.RegressionData(*row) for row in zip(*columns))
+        tests = {"pointwise": lambda d: linear_or.or_null_test(d, alpha, config.m // 2)}
+    fns = [tests[method] for method in methods]
+    return list(zip(*([fn(d).reject for fn in fns] for d in datasets))), 0
 
 
 def _block_length(config):
@@ -194,7 +181,7 @@ def _block_length(config):
     blocks take the ball model's length.
     """
     if config.model == "nuisance":
-        per_replicate = max(config.m, 1) * config.n
+        per_replicate = config.m * config.n
     else:
         per_replicate = config.n * mvn_ball.DIM
     return max(1, _BLOCK_FLOATS // per_replicate)
@@ -203,14 +190,12 @@ def _block_length(config):
 def run_experiment(config):
     """Run one Monte Carlo experiment; returns per-method rates and margins."""
     start_time = time.perf_counter()
-    decide = _block_decider(config)
     block = _block_length(config)
     counts = [0] * len(config.methods)
     flagged = 0
     for lo in range(0, config.replicates, block):
-        reps = range(lo, min(lo + block, config.replicates))
-        datasets = (_generate(config, RngStream(config.master_seed, r)) for r in reps)
-        hits, block_flagged = decide(datasets, len(reps))
+        size = min(block, config.replicates - lo)
+        hits, block_flagged = _decide(config, _stack(config, lo, size))
         for i, method_hits in enumerate(hits):
             counts[i] += int(np.count_nonzero(method_hits))
         flagged += block_flagged
@@ -232,6 +217,13 @@ _BALL_BOUNDARY = (1.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def _suite_configs(suite, scale):
+    """Keyword arguments of every setting of a suite, minus the seed.
+
+    Raises ValueError for an unknown suite or a bad scale, and runs nothing.
+    """
+    if not 0 < scale < math.inf:
+        raise ValueError("scale must be positive and finite, got %r" % (scale,))
+
     def reps(base):
         r = round(base * scale)
         if r < 1:
@@ -298,8 +290,6 @@ CSV_COLUMNS = (
 
 def run_suite(suite, master_seed, scale=1.0):
     """Run every setting of a named suite; yields one row dict per method."""
-    if scale <= 0:
-        raise ValueError("scale must be positive, got %r" % (scale,))
     rows = []
     for idx, kwargs in enumerate(_suite_configs(suite, scale)):
         config = ExperimentConfig(master_seed=_setting_seed(master_seed, idx), **kwargs)

@@ -292,6 +292,16 @@ class TestSimulate:
     def test_bad_scale_exits_2(self, capsys):
         assert main(["simulate", "--suite", "table1", "--scale", "0"]) == 2
 
+    @pytest.mark.parametrize("scale", ["1e-9", "-1", "nan", "inf"])
+    def test_bad_scale_leaves_out_untouched(self, tmp_path, capsys, scale):
+        # The usage error used to truncate an existing --out to 0 bytes.
+        out = tmp_path / "rows.csv"
+        out.write_bytes(b"suite,rate\r\nkept,1\n")
+        argv = ["simulate", "--suite", "table1", "--scale", scale, "--out", str(out)]
+        assert main(argv) == 2
+        assert out.read_bytes() == b"suite,rate\r\nkept,1\n"
+        assert "scale" in capsys.readouterr().err
+
     def test_unwritable_out_exits_2_before_the_suite_runs(self, tmp_path, capsys, monkeypatch):
         runs = []
         monkeypatch.setattr(cli, "run_suite", lambda *args: runs.append(args) or [])

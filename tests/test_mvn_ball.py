@@ -118,6 +118,15 @@ class TestUniversalBaselines:
             rejections["split"] += sp
         assert rejections["split"] < rejections["pw"]
 
+    @pytest.mark.parametrize("test", [mb.split_lrt_test, mb.cross_fit_lrt_test])
+    def test_alpha_range(self, test):
+        # alpha == 1 stays legal; alpha = 2 used to reject every sample.
+        s = make_sample(seed=4, n=10, theta=(2.5, 0, 0, 0, 0))
+        assert test(s, 1.0).alpha_prime_used == 1.0
+        for alpha in (2.0, -1.0, 0.0, math.nan):
+            with pytest.raises(ValueError, match="significance level must lie in"):
+                test(s, alpha)
+
 
 class TestSubspace:
     def test_neg2_log_lambda(self):
@@ -288,6 +297,15 @@ class TestDecideBatch:
         with pytest.raises(ValueError, match="nope"):
             mb.decide_batch(np.zeros((2, 3, 5)), ("pointwise", "nope"), 0.05)
         assert mb.decide_batch(np.zeros((2, 3, 5)), (), 0.05) == []
+
+    @pytest.mark.parametrize("methods", [("split_lrt",), ("crossfit_lrt",), ("pointwise",)])
+    def test_alpha_range(self, methods):
+        # The split and cross-fit branch used to reject every sample at alpha = 2.
+        stack = ball_stack(3, 4, 6, (1.0, 0, 0, 0, 0))
+        assert len(mb.decide_batch(stack, methods, 1.0)[0]) == 4
+        for alpha in (2.0, -1.0, 0.0, math.nan):
+            with pytest.raises(ValueError, match="significance level must lie in"):
+                mb.decide_batch(stack, methods, alpha)
 
     @settings(max_examples=60, deadline=None)
     @given(

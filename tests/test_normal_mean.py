@@ -105,3 +105,12 @@ class TestBonferroni:
             assert not (bf and not pw)
             hits += pw
         assert hits > 0  # the comparison actually exercised rejections
+
+    def test_alpha_range(self):
+        # alpha == 1 stays legal; alpha = 2 used to give the cut 1.0 and
+        # alpha = -1 the cut -0.5.
+        s = sample()
+        assert nm.bonferroni_interval_test(s, 0.0, 1.0, 1.0).alpha_prime_used == 0.5
+        for alpha in (2.0, -1.0, 0.0, math.nan):
+            with pytest.raises(ValueError, match="significance level must lie in"):
+                nm.bonferroni_interval_test(s, 0.0, 1.0, alpha)

@@ -84,8 +84,39 @@ class TestRunExperiment:
             config(model="or_null", truth=(1.0, 0.0), n=3)
         with pytest.raises(ValueError):
             config(methods=())
-        with pytest.raises(ValueError):
-            run_experiment(config(methods=("nope",)))
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(methods=("nope",)),
+        dict(methods=("pointwise", "lrt")),
+        dict(model="or_null", truth=(1.0, 0.0), m=10, methods=("bonferroni",)),
+        dict(model="nuisance", truth=(1.0, 2.0), m=10, methods=("split_lrt",)),
+        dict(model="ball", truth=(1, 0, 0, 0, 0), m=1, methods=("lrt",)),
+    ])
+    def test_unknown_method_refused_at_construction(self, kwargs):
+        method = kwargs["methods"][-1]
+        model = kwargs.get("model", "interval")
+        with pytest.raises(ValueError, match="method %r not available for model %r"
+                           % (method, model)):
+            config(**kwargs)
+
+    @pytest.mark.parametrize("alpha", [2.0, -1.0, 0.0, 1.5, math.nan])
+    def test_alpha_outside_unit_interval_refused(self, alpha):
+        # An interval bonferroni run at alpha = 2 used to report a rate of 1.0.
+        with pytest.raises(ValueError, match="significance level must lie in"):
+            config(alpha=alpha, methods=("bonferroni",))
+
+    def test_m_must_label_the_test_that_runs(self):
+        # or_null runs m / 2 test points per boundary arm; m = 0, 1, 2 and 3
+        # all used to run the same 2-point test under different m labels.
+        or_null = dict(model="or_null", truth=(1.0, 0.0), methods=("pointwise",))
+        for m in (-2, 0, 1, 3, 11):
+            with pytest.raises(ValueError, match="even m >= 2"):
+                config(m=m, **or_null)
+        assert config(m=2, **or_null).m == 2
+        nuisance_kw = dict(model="nuisance", truth=(1.0, 2.0), methods=("pointwise",))
+        with pytest.raises(ValueError, match="m >= 1"):
+            config(m=0, **nuisance_kw)
+        assert config(m=1, **nuisance_kw).m == 1
 
     @pytest.mark.parametrize("model, truth", [
         ("ball", (1.0,)),
@@ -124,8 +155,8 @@ class TestBlocks:
                  mvn_ball.cross_fit_lrt_test)
         counts = [0, 0, 0]
         for r in range(cfg.replicates):
-            sample = mvn_ball.MvnSample(
-                simulation._generate(cfg, RngStream(cfg.master_seed, r)))
+            (draws,) = simulation._draw(cfg, RngStream(cfg.master_seed, r).generator)
+            sample = mvn_ball.MvnSample(draws)
             for i, test in enumerate(tests):
                 counts[i] += test(sample, cfg.alpha).reject
         res = run_experiment(cfg)
@@ -138,27 +169,24 @@ class TestBlocks:
     def spy_block_sizes(monkeypatch):
         """Record the length of every block the harness decides."""
         sizes = []
-        make = simulation._block_decider
+        decide = simulation._decide
 
-        def spying(cfg):
-            decide = make(cfg)
+        def recorded(cfg, columns):
+            sizes.append(len(columns[0]))
+            return decide(cfg, columns)
 
-            def recorded(datasets, size):
-                sizes.append(size)
-                return decide(datasets, size)
-
-            return recorded
-
-        monkeypatch.setattr(simulation, "_block_decider", spying)
+        monkeypatch.setattr(simulation, "_decide", recorded)
         return sizes
 
     @pytest.mark.parametrize("cfg", [
         config(replicates=10, n=4, **BALL),
         config(replicates=10, n=1, **dict(BALL, methods=("pointwise",))),
         config(replicates=11),
+        config(model="or_null", truth=(1.0, 0.5), n=6, m=10, replicates=10,
+               methods=("pointwise",)),
         config(mode="coverage", **NUISANCE),
         config(mode="power", **dict(NUISANCE, truth=(1.5, 2.0))),
-    ], ids=["ball", "ball-n1", "interval", "nuisance", "nuisance-power"])
+    ], ids=["ball", "ball-n1", "interval", "or_null", "nuisance", "nuisance-power"])
     def test_block_length_changes_no_result(self, cfg, monkeypatch):
         # Floats of the largest per-replicate array: the (m, n) proxy
         # regressors for nuisance, the (n, 5) draws otherwise.
@@ -199,27 +227,18 @@ class TestBlocks:
         assert shapes == [(2, 10), (2, 10), (1, 10)]
 
     def test_flagged_replicate_counts_for_no_method(self, monkeypatch):
-        # Method 0 accepts every replicate; method 1 flags every other one.
-        # A flagged replicate leaves the denominator, so it must also leave
-        # method 0's numerator (the rate was 10/5 = 2.0 when it did not).
-        calls = []
+        # Every other replicate is flagged; of the rest, method 0 hits every
+        # one and method 1 none.  A flagged replicate leaves the
+        # denominator, so it must also leave method 0's numerator (the rate
+        # was 10/5 = 2.0 when it did not).
+        def flag_every_other(x, y, *args):
+            kept = len(x) // 2
+            return [[True] * kept, [False] * kept], len(x) - kept
 
-        def stub_method_fn(cfg, method):
-            if method == "pointwise":
-                return lambda d: True
-
-            def flag_every_other(d):
-                calls.append(d)
-                if len(calls) % 2:
-                    raise nuisance.DegenerateFitError("stub")
-                return False
-
-            return flag_every_other
-
-        monkeypatch.setattr(simulation, "_method_fn", stub_method_fn)
-        res = run_experiment(config(replicates=10))
+        monkeypatch.setattr(nuisance, "decide_batch", flag_every_other)
+        res = run_experiment(config(mode="coverage", **self.NUISANCE))
         assert res.flagged_replicates == 5
-        assert res.rates == {"pointwise": 1.0, "bonferroni": 0.0}
+        assert res.rates == {"pointwise": 1.0, "lrt": 0.0}
         assert res.margins["pointwise"] == 0.0
 
 
