@@ -136,7 +136,8 @@ def _check_alpha(alpha, upper):
         )
 
 
-def _check_level(alpha):
-    """Refuse a level outside (0, 1]; alpha == 1 is the legal degenerate level."""
-    if alpha != 1.0:
-        _check_alpha(alpha, 1.0)
+def _check_level(alpha, upper=1.0):
+    """Refuse a level outside (0, upper); alpha == 1 is the legal degenerate level."""
+    if alpha != 1.0 and not 0.0 < alpha < upper:
+        allowed = "(0, 1]" if upper == 1.0 else "(0, %g) or be 1" % (upper,)
+        raise ValueError("significance level must lie in %s, got %r" % (allowed, alpha))

@@ -6,6 +6,9 @@ is a full-dimensional region with boundary (d1 = d0 = 2), so alpha' =
 half-lines: (b1t, 0) with b1t spread over (0, 2*b1_hat), and (0, b2t)
 likewise.  Each simple null is tested with a finite-sample F-test (two
 linear restrictions, intercept free, denominator df n - 3).
+
+:func:`decide_batch` decides a whole stack of datasets at once; it is what
+the Monte Carlo harness calls, and :func:`or_null_test` is its reference.
 """
 
 from dataclasses import dataclass
@@ -14,11 +17,23 @@ import numpy as np
 
 from pwreject.alpha_prime import NullSpec
 from pwreject.distributions import f_cdf
-from pwreject.testing import decide
+from pwreject.testing import decide, rejections
 
-__all__ = ["RegressionData", "OlsFit", "ols3_fit", "f_point_p_value", "or_null_test"]
+__all__ = [
+    "RegressionData",
+    "OlsFit",
+    "ols3_fit",
+    "f_point_p_value",
+    "or_null_test",
+    "decide_batch",
+]
 
 NULL_SPEC = NullSpec(d1=2, d0=2, has_boundary=True)
+# decide_batch solves a row's normal equations in closed form when the
+# Gram matrix G of its design (1, x1, x2) has det(G) > _WELL_POSED *
+# trace(G)**3, which bounds the design's condition number by
+# _WELL_POSED**-0.5 = 1000; other rows go through ols3_fit.
+_WELL_POSED = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,9 +71,11 @@ class OlsFit:
 def ols3_fit(data):
     """Least squares fit of y on (1, x1, x2) via orthogonal decomposition."""
     design = np.column_stack([np.ones(data.n), data.x1, data.x2])
-    if np.linalg.matrix_rank(design) < 3:
+    # lstsq's rank counts the singular values above eps * max(M, N) * S1,
+    # the tolerance np.linalg.matrix_rank uses.
+    coef, _, rank, _ = np.linalg.lstsq(design, data.y, rcond=None)
+    if rank < 3:
         raise np.linalg.LinAlgError("design matrix (1, x1, x2) is rank deficient")
-    coef, _, _, _ = np.linalg.lstsq(design, data.y, rcond=None)
     fitted = design @ coef
     rss = float(np.sum((data.y - fitted) ** 2))
     return OlsFit(coef, fitted, rss)
@@ -111,14 +128,91 @@ def or_null_test(data, alpha, m_prime):
         return decide(1.0, NULL_SPEC, alpha, 0)
 
     fracs = np.arange(1, m_prime + 1) / (m_prime + 1.0)
-    rss_b1 = _rowwise_intercept_rss(data.y - np.outer(2.0 * b1 * fracs, data.x1))
-    rss_b2 = _rowwise_intercept_rss(data.y - np.outer(2.0 * b2 * fracs, data.x2))
+    rss_b1 = _arm_rss(data.y, 2.0 * b1 * fracs, data.x1)
+    rss_b2 = _arm_rss(data.y, 2.0 * b2 * fracs, data.x2)
     min_rss = min(rss_b1.min(), rss_b2.min())
     max_p = _f_p(min_rss, fit.rss, data.n)
     return decide(max_p, NULL_SPEC, alpha, 2 * m_prime)
 
 
-def _rowwise_intercept_rss(residual_rows):
-    # Intercept-only RSS for each row of candidate residuals.
-    centered = residual_rows - residual_rows.mean(axis=1, keepdims=True)
-    return np.sum(centered**2, axis=1)
+def _arm_rss(y, slopes, x):
+    """Intercept-only RSS of y - slopes[..., t] * x for every test point t.
+
+    ``y`` and ``x`` are (..., n) and ``slopes`` (..., m'); the result is
+    (..., m').  The residuals are formed, centred and squared in one buffer.
+    """
+    residuals = slopes[..., :, None] * x[..., None, :]
+    np.subtract(y[..., None, :], residuals, out=residuals)
+    residuals -= residuals.mean(axis=-1, keepdims=True)
+    residuals *= residuals
+    return residuals.sum(axis=-1)
+
+
+def decide_batch(x1, x2, y, alpha, m_prime):
+    """``or_null_test(RegressionData(x1[b], x2[b], y[b]), alpha, m_prime).reject``
+    for every row b of a stack, as one bool array.
+
+    ``x1``, ``x2`` and ``y`` are (B, n) arrays; row b holds dataset b.  The
+    boundary arms and the minimum restricted RSS repeat the per-dataset
+    arithmetic along the last axis, and the F p-value stays per dataset on
+    the scalar ``f_cdf``.  The OLS fit is a closed-form solve of the
+    centred normal equations instead of ``lstsq``, so a coefficient can
+    differ from ``ols3_fit``'s by a few ULPs; a rank-deficient row raises
+    ``LinAlgError`` as ``ols3_fit`` does.
+    """
+    return rejections(_max_p_rows(x1, x2, y, m_prime), NULL_SPEC, alpha)
+
+
+def _max_p_rows(x1, x2, y, m_prime):
+    """The max p-value of ``or_null_test`` for each row of a (B, n) stack."""
+    x1 = np.asarray(x1, dtype=float)
+    x2 = np.asarray(x2, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if not (x1.shape == x2.shape == y.shape) or y.ndim != 2:
+        raise ValueError("x1, x2, y must be (B, n) arrays of equal shape")
+    n = y.shape[1]
+    if n < 4:
+        raise ValueError("need n >= 4 observations")
+    if m_prime < 1:
+        raise ValueError("m_prime must be >= 1")
+    if not (np.isfinite(x1).all() and np.isfinite(x2).all() and np.isfinite(y).all()):
+        raise ValueError("x1, x2 and y must be finite (no nan or inf)")
+    b1, b2, rss_alt = _ols3_rows(x1, x2, y)
+    p = np.ones(len(y))
+    # Rows whose MLE lies inside the null keep the continuum max p of 1.
+    out = (b1 > 0.0) & (b2 > 0.0)
+    x1, x2, y, b1, b2 = x1[out], x2[out], y[out], b1[out], b2[out]
+    fracs = np.arange(1, m_prime + 1) / (m_prime + 1.0)
+    rss_b1 = _arm_rss(y, 2.0 * b1[:, None] * fracs, x1)
+    rss_b2 = _arm_rss(y, 2.0 * b2[:, None] * fracs, x2)
+    min_rss = np.minimum(rss_b1.min(axis=1), rss_b2.min(axis=1))
+    pairs = zip(min_rss.tolist(), rss_alt[out].tolist())
+    p[out] = [_f_p(r_null, r_alt, n) for r_null, r_alt in pairs]
+    return p
+
+
+def _ols3_rows(x1, x2, y):
+    """(b1, b2, rss) of the fit of y on (1, x1, x2), for each row of a (B, n) stack.
+
+    The slopes solve the centred 2 x 2 normal equations by Cramer's rule.
+    A row whose design is not well posed (see ``_WELL_POSED``) is fitted by
+    ``ols3_fit`` instead, which raises ``LinAlgError`` if it is rank deficient.
+    """
+    n = y.shape[1]
+    m1, m2 = x1.mean(axis=1), x2.mean(axis=1)
+    d1, d2 = x1 - m1[:, None], x2 - m2[:, None]
+    dy = y - y.mean(axis=1)[:, None]
+    s11, s22, s12 = np.sum(d1 * d1, axis=1), np.sum(d2 * d2, axis=1), np.sum(d1 * d2, axis=1)
+    s1y, s2y = np.sum(d1 * dy, axis=1), np.sum(d2 * dy, axis=1)
+    det = s11 * s22 - s12 * s12
+    # det(G) = n * det for the uncentred Gram matrix G of (1, x1, x2).
+    trace = n * (1.0 + m1 * m1 + m2 * m2) + s11 + s22
+    ill_posed = ~(n * det > _WELL_POSED * trace**3)
+    det[ill_posed] = 1.0  # those rows are refitted below
+    b1 = (s22 * s1y - s12 * s2y) / det
+    b2 = (s11 * s2y - s12 * s1y) / det
+    rss = np.sum((dy - b1[:, None] * d1 - b2[:, None] * d2) ** 2, axis=1)
+    for row in np.flatnonzero(ill_posed):
+        fit = ols3_fit(RegressionData(x1[row], x2[row], y[row]))
+        b1[row], b2[row], rss[row] = fit.coefficients[1], fit.coefficients[2], fit.rss
+    return b1, b2, rss

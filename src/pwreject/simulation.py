@@ -5,14 +5,16 @@ one dataset under the configured truth, and applies every requested method
 to that same dataset.  Replicates are generated serially, in order, and
 decided in blocks of consecutive replicates along one path for every
 model: a block's data columns are stacked into (B, ...) arrays and handed
-to one decision call.  The ball and nuisance models decide the whole
-stack at once (:func:`pwreject.models.mvn_ball.decide_batch` on the
+to one decision call.  The ball, nuisance and or_null models decide the
+whole stack at once (:func:`pwreject.models.mvn_ball.decide_batch` on the
 (B, n, 5) draws, :func:`pwreject.models.nuisance.decide_batch` on the
-(B, n) x and y); the interval and or_null models decide it row by row
-with their per-sample tests.  A block's largest array holds at most about
-4 MB: the (B, n, 5) draws, or the nuisance model's (B, m, n) proxy
-regressors.  Aggregation is pure counting, so a seed fixes every rate bit
-for bit, whatever the block length.
+(B, n) x and y, :func:`pwreject.models.linear_or.decide_batch` on the
+(B, n) x1, x2 and y); the interval model decides it row by row with its
+per-sample tests.  A block's largest array holds at most about 4 MB: the
+(B, n, 5) draws, the nuisance model's (B, m, n) proxy regressors or the
+or_null model's (B, m / 2, n) boundary-arm residuals.  Aggregation is pure
+counting, so a seed fixes every rate bit for bit, whatever the block
+length.
 """
 
 import math
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pwreject.alpha_prime import _check_level
+from pwreject.alpha_prime import _check_alpha, _check_level
 from pwreject.distributions import RngStream
 from pwreject.models import linear_or, mvn_ball, normal_mean, nuisance
 from pwreject.models import MODEL_IDS
@@ -33,11 +35,15 @@ MODES = ("type1", "power", "coverage")
 _MODEL_MIN_N = {"interval": 2, "or_null": 4, "nuisance": 3, "ball": 1}
 # Parameters in a truth: mu; (b1, b2); (psi, phi); theta.
 _TRUTH_LEN = {"interval": 1, "or_null": 2, "nuisance": 2, "ball": mvn_ball.DIM}
+# Each model's methods, and the open upper end of the levels each method's
+# test takes; alpha == 1 is legal too, except for the nuisance regions and
+# LRT (below).  The pointwise tests of the three nulls with boundary need
+# alpha < 1/2.
 _MODEL_METHODS = {
-    "interval": ("pointwise", "bonferroni"),
-    "or_null": ("pointwise",),
-    "nuisance": nuisance.BATCH_METHODS,
-    "ball": mvn_ball.BATCH_METHODS,
+    "interval": {"pointwise": 0.5, "bonferroni": 1.0},
+    "or_null": {"pointwise": 0.5},
+    "nuisance": {"pointwise": 1.0, "lrt": 1.0},
+    "ball": {"pointwise": 0.5, "split_lrt": 1.0, "crossfit_lrt": 1.0},
 }
 # Sample splitting needs a nonempty half on each side.
 _METHOD_MIN_N = {"split_lrt": 2, "crossfit_lrt": 2}
@@ -64,6 +70,8 @@ class ExperimentConfig:
             raise ValueError("unknown model %r" % (self.model,))
         if self.mode not in MODES:
             raise ValueError("unknown mode %r" % (self.mode,))
+        if self.mode == "coverage" and self.model != "nuisance":
+            raise ValueError("mode 'coverage' needs the 'nuisance' model, got %r" % (self.model,))
         if len(self.truth) != _TRUTH_LEN[self.model]:
             raise ValueError(
                 "the %r model needs a truth of length %d, got %r"
@@ -76,7 +84,6 @@ class ExperimentConfig:
                 "n=%d is below the %r model minimum %d"
                 % (self.n, self.model, _MODEL_MIN_N[self.model])
             )
-        _check_level(self.alpha)
         if self.model == "or_null" and (self.m < 2 or self.m % 2):
             raise ValueError("the 'or_null' model needs an even m >= 2, got %r" % (self.m,))
         if self.model == "nuisance" and self.m < 1:
@@ -93,6 +100,11 @@ class ExperimentConfig:
                     "n=%d is below the %r method minimum %d"
                     % (self.n, method, _METHOD_MIN_N[method])
                 )
+            _check_level(self.alpha, _MODEL_METHODS[self.model][method])
+        if self.model == "nuisance" and (self.mode == "coverage" or "lrt" in self.methods):
+            # The region thresholds and the LRT cut-off are quantiles at
+            # 1 - alpha, which have no alpha == 1 limit.
+            _check_alpha(self.alpha, 1.0)
 
 
 @dataclass(frozen=True)
@@ -159,17 +171,16 @@ def _decide(config, columns):
         else:
             mode, psi = "test", config.psi0
         return nuisance.decide_batch(*columns, mode, methods, alpha, config.m, psi)
-    if config.model == "interval":
-        # The interval null is [a, b] = [0, 1].
-        datasets = map(normal_mean.UnivariateSample, columns[0])
-        tests = {
-            "pointwise": lambda d: normal_mean.interval_null_test(d, 0.0, 1.0, alpha),
-            "bonferroni": lambda d: normal_mean.bonferroni_interval_test(d, 0.0, 1.0, alpha),
-        }
-    else:
-        datasets = (linear_or.RegressionData(*row) for row in zip(*columns))
-        tests = {"pointwise": lambda d: linear_or.or_null_test(d, alpha, config.m // 2)}
+    if config.model == "or_null":
+        # or_null has one method, the pointwise test.
+        return [linear_or.decide_batch(*columns, alpha, config.m // 2)], 0
+    # The interval null is [a, b] = [0, 1].
+    tests = {
+        "pointwise": lambda d: normal_mean.interval_null_test(d, 0.0, 1.0, alpha),
+        "bonferroni": lambda d: normal_mean.bonferroni_interval_test(d, 0.0, 1.0, alpha),
+    }
     fns = [tests[method] for method in methods]
+    datasets = map(normal_mean.UnivariateSample, columns[0])
     return list(zip(*([fn(d).reject for fn in fns] for d in datasets))), 0
 
 
@@ -177,11 +188,14 @@ def _block_length(config):
     """Replicates per block, so that the block's largest array fits _BLOCK_FLOATS.
 
     That array is the (B, m, n) proxy regressor tensor for the nuisance
-    model and the (B, n, 5) draws for the ball model; interval and or_null
-    blocks take the ball model's length.
+    model, each (B, m / 2, n) boundary-arm residual tensor for the or_null
+    model and the (B, n, 5) draws for the ball model; interval blocks take
+    the ball model's length.
     """
     if config.model == "nuisance":
         per_replicate = config.m * config.n
+    elif config.model == "or_null":
+        per_replicate = config.m // 2 * config.n
     else:
         per_replicate = config.n * mvn_ball.DIM
     return max(1, _BLOCK_FLOATS // per_replicate)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from pwreject.alpha_prime import (
     NullSpec,
+    _check_level,
     alpha_prime,
     alpha_prime_no_boundary,
     alpha_prime_with_boundary,
@@ -72,6 +73,17 @@ class TestDegenerateAndErrors:
             alpha_prime_with_boundary(0.5, NullSpec(2, 2, has_boundary=True))
         with pytest.raises(ValueError):
             alpha_prime_with_boundary(0.0, NullSpec(2, 2, has_boundary=True))
+
+    def test_level_check_states_the_legal_range(self):
+        # alpha == 1 is legal, so the range is half-open: (0, 1], not (0, 1).
+        with pytest.raises(ValueError) as err:
+            _check_level(2.0)
+        assert str(err.value) == "significance level must lie in (0, 1], got 2.0"
+        with pytest.raises(ValueError) as err:
+            _check_level(0.7, 0.5)
+        assert str(err.value) == "significance level must lie in (0, 0.5) or be 1, got 0.7"
+        for alpha, upper in ((1.0, 1.0), (1.0, 0.5), (0.3, 0.5), (0.7, 1.0)):
+            _check_level(alpha, upper)
 
     def test_dispatch_mismatch(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from pwreject.distributions import RngStream
@@ -49,6 +51,13 @@ class TestPointPValue:
         data = lo.RegressionData(x, 2.0 * x, x + 1.0)
         with pytest.raises(np.linalg.LinAlgError):
             lo.ols3_fit(data)
+
+    @pytest.mark.parametrize("value", [0.0, 1.0, 0.1, -3.7])
+    def test_constant_column_is_collinear_with_the_intercept(self, value):
+        x = np.arange(6.0)
+        for x1, x2 in ((np.full(6, value), x), (x, np.full(6, value))):
+            with pytest.raises(np.linalg.LinAlgError):
+                lo.ols3_fit(lo.RegressionData(x1, x2, x * x))
 
 
 class TestBoundaryPoints:
@@ -109,3 +118,140 @@ class TestOrNullTest:
             lo.RegressionData([1, 2, 3], [1, 2, 3], [1, 2, 3])
         with pytest.raises(ValueError):
             lo.RegressionData([1, 2, 3, 4], [1, 2, 3], [1, 2, 3, 4])
+
+
+def regression_stack(seed, count, n, b1=1.0, b2=0.0, b0=0.0):
+    """(x1, x2, y) of ``count`` datasets, each row drawn as make_data draws one."""
+    g = RngStream(seed).generator
+    x = g.standard_normal((count, n, 2))
+    x1, x2 = x[:, :, 0], x[:, :, 1]
+    return x1, x2, b0 + b1 * x1 + b2 * x2 + g.standard_normal((count, n))
+
+
+# Largest relative difference seen between the batch's max p and
+# or_null_test's: 9.8e-13, over 32,000 table1 replicates (four truths, two
+# seeds).
+# The closed-form fit rounds differently from lstsq by a few ULPs.
+P_RTOL = 1e-10
+
+
+def assert_batch_matches_scalar(x1, x2, y, alpha, m_prime):
+    """decide_batch and the batch max p against or_null_test; returns the rejects."""
+    rejects = lo.decide_batch(x1, x2, y, alpha, m_prime)
+    max_p = lo._max_p_rows(x1, x2, y, m_prime)
+    want = [lo.or_null_test(lo.RegressionData(*row), alpha, m_prime) for row in zip(x1, x2, y)]
+    assert rejects.dtype == np.dtype(bool) and rejects.shape == (len(y),)
+    assert rejects.tolist() == [d.reject for d in want]
+    assert max_p.tolist() == pytest.approx([d.max_p for d in want], rel=P_RTOL, abs=0.0)
+    return rejects, max_p
+
+
+class TestDecideBatch:
+    @pytest.mark.parametrize("n", [4, 5, 10, 100])
+    @pytest.mark.parametrize("m_prime", [1, 5, 50])
+    def test_matches_or_null_test(self, n, m_prime):
+        outcomes, inside = set(), set()
+        for b1, b2 in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)):
+            x1, x2, y = regression_stack(n + m_prime, 30, n, b1, b2, b0=0.5)
+            for alpha in (0.05, 0.2):
+                rejects, _ = assert_batch_matches_scalar(x1, x2, y, alpha, m_prime)
+                outcomes.update(rejects.tolist())
+            fits = [lo.ols3_fit(lo.RegressionData(*row)).coefficients for row in zip(x1, x2, y)]
+            inside.update("b1" for c in fits if c[1] <= 0.0)
+            inside.update("b2" for c in fits if c[2] <= 0.0)
+        assert outcomes == {True, False}
+        assert inside == {"b1", "b2"}
+
+    def test_rows_inside_the_null_get_p_one(self):
+        x1, x2, y = regression_stack(2, 40, 8, b1=-1.0, b2=1.0)
+        x1[20:], x2[20:] = x2[20:].copy(), x1[20:].copy()  # b2 <= 0 in the second half
+        _, max_p = assert_batch_matches_scalar(x1, x2, y, 0.05, 5)
+        fits = [lo.ols3_fit(lo.RegressionData(*row)).coefficients for row in zip(x1, x2, y)]
+        for c, p in zip(fits, max_p):
+            assert (p == 1.0) == (c[1] <= 0.0 or c[2] <= 0.0)
+        assert (max_p == 1.0).sum() > 30
+
+    def test_noiseless_rows(self):
+        # Integer columns with dyadic means: the closed form fits exactly,
+        # so rss_alt == 0 and _f_p gives 0 outside the null; rows whose
+        # exact MLE sits inside the null get p = 1.
+        x1 = np.array([1.0, -1.0, 2.0, -2.0, 0.0, 3.0, -3.0, 0.0])
+        x2 = np.array([0.0, 1.0, 1.0, -1.0, -1.0, 2.0, 0.0, -2.0])
+        truths = ((2.0, 3.0), (0.5, 0.25), (2.0, -1.0), (-1.0, 0.5), (0.0, 1.0))
+        y = np.array([1.0 + b1 * x1 + b2 * x2 for b1, b2 in truths])
+        stack = (np.tile(x1, (len(truths), 1)), np.tile(x2, (len(truths), 1)), y)
+        _, _, rss_alt = lo._ols3_rows(*stack)
+        assert rss_alt.tolist() == [0.0] * len(truths)
+        for m_prime in (1, 5):
+            rejects, max_p = assert_batch_matches_scalar(*stack, 0.05, m_prime)
+            assert max_p.tolist() == [0.0, 0.0, 1.0, 1.0, 1.0]
+            assert rejects.tolist() == [True, True, False, False, False]
+
+    def test_alpha_one_rejects_every_row(self):
+        x1, x2, y = regression_stack(4, 20, 6, b1=-1.0, b2=1.0)
+        rejects, _ = assert_batch_matches_scalar(x1, x2, y, 1.0, 3)
+        assert rejects.all()
+
+    def test_ill_posed_row_is_fitted_by_ols3_fit(self):
+        # x2 is x1 plus 1e-5 noise: rank 3, but outside the closed form's
+        # conditioning bound, so that row's p equals the scalar bit for bit.
+        x1, x2, y = regression_stack(6, 3, 12, b1=1.0, b2=1.0)
+        x2[1] = x1[1] + 1e-5 * x2[1]
+        b1, b2, rss = lo._ols3_rows(x1, x2, y)
+        fit = lo.ols3_fit(lo.RegressionData(x1[1], x2[1], y[1]))
+        assert (b1[1], b2[1], rss[1]) == (fit.coefficients[1], fit.coefficients[2], fit.rss)
+        _, max_p = assert_batch_matches_scalar(x1, x2, y, 0.05, 5)
+        assert max_p[1] == lo.or_null_test(lo.RegressionData(x1[1], x2[1], y[1]), 0.05, 5).max_p
+
+    @pytest.mark.parametrize("case", ["collinear", "constant-x1", "constant-x2"])
+    def test_rank_deficient_row_raises(self, case):
+        x1, x2, y = regression_stack(7, 4, 6)
+        if case == "collinear":
+            x2[2] = 2.0 * x1[2]
+        elif case == "constant-x1":
+            x1[2] = 0.1
+        else:
+            x2[2] = -3.0
+        with pytest.raises(np.linalg.LinAlgError):
+            lo.ols3_fit(lo.RegressionData(x1[2], x2[2], y[2]))
+        with pytest.raises(np.linalg.LinAlgError):
+            lo.decide_batch(x1, x2, y, 0.05, 5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_data_raise(self, bad):
+        for which in range(3):
+            arrays = list(regression_stack(8, 3, 5))
+            arrays[which][1, 2] = bad
+            with pytest.raises(ValueError):
+                lo.RegressionData(*(a[1] for a in arrays))
+            with pytest.raises(ValueError, match="finite"):
+                lo.decide_batch(*arrays, 0.05, 5)
+
+    def test_validation(self):
+        x1, x2, y = regression_stack(0, 2, 5)
+        for args in (
+            (x1, x2, y[:, :4], 0.05, 5),
+            (x1[0], x2[0], y[0], 0.05, 5),
+            (x1[:, :3], x2[:, :3], y[:, :3], 0.05, 5),
+            (x1, x2, y, 0.05, 0),
+            (x1, x2, y, 0.5, 5),
+            (x1, x2, y, 0.0, 5),
+        ):
+            with pytest.raises(ValueError):
+                lo.decide_batch(*args)
+        assert lo.decide_batch(x1[:0], x2[:0], y[:0], 0.05, 5).tolist() == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        count=st.integers(1, 8),
+        n=st.integers(4, 60),
+        b1=st.floats(-0.5, 1.5),
+        b2=st.floats(-0.5, 1.5),
+        b0=st.floats(-5.0, 5.0),
+        alpha=st.sampled_from([0.01, 0.05, 0.1, 0.3, 1.0]),
+        m_prime=st.integers(1, 60),
+    )
+    def test_matches_or_null_test_hypothesis(self, seed, count, n, b1, b2, b0, alpha, m_prime):
+        x1, x2, y = regression_stack(seed, count, n, b1, b2, b0)
+        assert_batch_matches_scalar(x1, x2, y, alpha, m_prime)

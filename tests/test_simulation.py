@@ -6,7 +6,7 @@ import pytest
 
 from pwreject import simulation
 from pwreject.distributions import RngStream
-from pwreject.models import mvn_ball, nuisance
+from pwreject.models import linear_or, mvn_ball, nuisance
 from pwreject.simulation import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -118,6 +118,55 @@ class TestRunExperiment:
             config(m=0, **nuisance_kw)
         assert config(m=1, **nuisance_kw).m == 1
 
+    @pytest.mark.parametrize("model, truth, m, methods", [
+        ("interval", (0.0,), 0, ("pointwise", "bonferroni")),
+        ("or_null", (1.0, 0.0), 10, ("pointwise",)),
+        ("ball", (1, 0, 0, 0, 0), 1, ("split_lrt", "pointwise")),
+        ("nuisance", (1.0, 2.0), 10, ("pointwise", "lrt")),
+    ])
+    def test_alpha_the_method_refuses_is_refused_at_construction(self, model, truth, m, methods):
+        # The pointwise tests of the three nulls with boundary take alpha in
+        # (0, 1/2) or alpha = 1; run_experiment used to accept alpha = 0.7
+        # and then raise at the first block.  The nuisance null has no
+        # boundary, and every other method takes alpha up to 1.
+        kwargs = dict(model=model, truth=truth, m=m, n=6, replicates=5)
+        accepted = methods
+        if model != "nuisance":
+            with pytest.raises(ValueError, match=r"must lie in \(0, 0.5\) or be 1, got 0.7"):
+                config(alpha=0.7, methods=methods, **kwargs)
+            accepted = tuple(name for name in methods if name != "pointwise")
+        if accepted:
+            res = run_experiment(config(alpha=0.7, methods=accepted, **kwargs))
+            assert set(res.rates) == set(accepted)
+        res = run_experiment(config(alpha=0.49, methods=methods, **kwargs))
+        assert set(res.rates) == set(methods)
+        if model != "nuisance":
+            res = run_experiment(config(alpha=1.0, methods=methods, **kwargs))
+            assert set(res.rates) == set(methods) and res.rates["pointwise"] == 1.0
+
+    def test_nuisance_alpha_one_only_for_the_pointwise_test(self):
+        # The nuisance regions and LRT cut-off are quantiles at 1 - alpha:
+        # alpha = 1 used to pass construction and raise at the first block.
+        kwargs = dict(model="nuisance", truth=(1.0, 2.0), m=10, n=6, replicates=5, alpha=1.0)
+        for mode, methods in (("power", ("lrt",)), ("power", ("pointwise", "lrt")),
+                              ("coverage", ("pointwise",)), ("coverage", ("lrt",))):
+            with pytest.raises(ValueError, match=r"must lie in \(0, 1\), got 1.0"):
+                config(mode=mode, methods=methods, **kwargs)
+        res = run_experiment(config(mode="power", methods=("pointwise",), **kwargs))
+        assert res.rates == {"pointwise": 1.0}
+
+    @pytest.mark.parametrize("model, truth, m", [
+        ("interval", (0.5,), 0),
+        ("or_null", (1.0, 0.0), 10),
+        ("ball", (1, 0, 0, 0, 0), 1),
+    ])
+    def test_coverage_mode_needs_the_nuisance_model(self, model, truth, m):
+        # Only the nuisance model computes regions; the others reported
+        # their rejection rate under the name of a coverage rate.
+        with pytest.raises(ValueError, match="mode 'coverage' needs the 'nuisance' model"):
+            config(model=model, truth=truth, m=m, mode="coverage", methods=("pointwise",))
+        config(model=model, truth=truth, m=m, mode="power", methods=("pointwise",))
+
     @pytest.mark.parametrize("model, truth", [
         ("ball", (1.0,)),
         ("interval", (0.0, 5.0)),
@@ -184,13 +233,18 @@ class TestBlocks:
         config(replicates=11),
         config(model="or_null", truth=(1.0, 0.5), n=6, m=10, replicates=10,
                methods=("pointwise",)),
+        config(model="or_null", truth=(1.0, 0.0), n=5, m=100, replicates=11,
+               methods=("pointwise",)),
         config(mode="coverage", **NUISANCE),
         config(mode="power", **dict(NUISANCE, truth=(1.5, 2.0))),
-    ], ids=["ball", "ball-n1", "interval", "or_null", "nuisance", "nuisance-power"])
+    ], ids=["ball", "ball-n1", "interval", "or_null", "or_null-m100", "nuisance",
+            "nuisance-power"])
     def test_block_length_changes_no_result(self, cfg, monkeypatch):
         # Floats of the largest per-replicate array: the (m, n) proxy
-        # regressors for nuisance, the (n, 5) draws otherwise.
-        per_replicate = cfg.m * cfg.n if cfg.model == "nuisance" else cfg.n * 5
+        # regressors for nuisance, the (m / 2, n) boundary-arm residuals
+        # for or_null, the (n, 5) draws otherwise.
+        per_replicate = {"nuisance": cfg.m * cfg.n, "or_null": cfg.m // 2 * cfg.n}.get(
+            cfg.model, cfg.n * 5)
         sizes = self.spy_block_sizes(monkeypatch)
         default = run_experiment(cfg)
         assert sizes == [cfg.replicates]
@@ -225,6 +279,41 @@ class TestBlocks:
         monkeypatch.setattr(simulation, "_BLOCK_FLOATS", 2000)
         run_experiment(config(mode="power", **dict(self.NUISANCE, n=10, m=100, replicates=5)))
         assert shapes == [(2, 10), (2, 10), (1, 10)]
+
+    def test_or_null_block_matches_per_replicate_scalar_tests(self):
+        cfg = config(model="or_null", truth=(0.3, 0.3), n=8, m=20, replicates=60,
+                     methods=("pointwise",))
+        rejects = 0
+        for r in range(cfg.replicates):
+            columns = simulation._draw(cfg, RngStream(cfg.master_seed, r).generator)
+            data = linear_or.RegressionData(*columns)
+            rejects += linear_or.or_null_test(data, cfg.alpha, cfg.m // 2).reject
+        assert 0 < rejects < cfg.replicates
+        assert run_experiment(cfg).rates == {"pointwise": rejects / cfg.replicates}
+
+    def test_or_null_block_bounds_the_boundary_tensor(self, monkeypatch):
+        # Every table1 setting at full scale: each (B, m / 2, n) boundary-arm
+        # residual tensor of a block fits _BLOCK_FLOATS, and one more
+        # replicate would not (a block at n = 100, m = 100 sized by the
+        # (B, n, 5) draws held 1048 x 50 x 100 floats, 42 MB).
+        for kw in simulation._suite_configs("table1", 1.0):
+            cfg = ExperimentConfig(master_seed=0, **kw)
+            block = simulation._block_length(cfg)
+            arm = cfg.m // 2 * cfg.n
+            assert block * arm <= simulation._BLOCK_FLOATS < (block + 1) * arm
+        # The harness hands the batch arrays of that many rows.
+        shapes = []
+        batch = linear_or.decide_batch
+
+        def recorded(x1, x2, y, *args):
+            shapes.append((x1.shape, x2.shape, y.shape))
+            return batch(x1, x2, y, *args)
+
+        monkeypatch.setattr(linear_or, "decide_batch", recorded)
+        monkeypatch.setattr(simulation, "_BLOCK_FLOATS", 1000)
+        run_experiment(config(model="or_null", truth=(1.0, 0.0), n=10, m=100, replicates=5,
+                              methods=("pointwise",)))
+        assert shapes == [((2, 10),) * 3, ((2, 10),) * 3, ((1, 10),) * 3]
 
     def test_flagged_replicate_counts_for_no_method(self, monkeypatch):
         # Every other replicate is flagged; of the rest, method 0 hits every
