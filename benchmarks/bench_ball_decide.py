@@ -7,7 +7,10 @@ draws at the table2 boundary truth theta = (1, 0, 0, 0, 0) is decided
   ``MvnSample(stack[b])`` and run the pointwise, split and cross-fit tests;
 - in one call, ``mvn_ball.decide_batch(stack, methods, alpha)``.
 
-Both give the same decisions (checked here).  Each timing is the median of
+Both give the same decisions (checked here).  The per-sample tests are
+one-row calls of the array function ``decide_batch`` runs, so the
+per-replicate column times one-row batch calls.  ``BENCH_6.json`` was
+taken at commit dbd9922, when the per-sample tests were separate code.  Each timing is the median of
 ``--repeats`` passes over the stack, after one untimed warm-up pass that
 fills the alpha' cache; the result is printed as JSON, in microseconds per
 replicate.  Data generation and ``RngStream`` are not included.

@@ -10,7 +10,10 @@ datasets drawn at the truth (psi, phi) = (1, 2) is decided
   fig4);
 - in one call, ``nuisance.decide_batch(x, y, mode, methods, alpha, m, psi)``.
 
-Both give the same decisions (checked here).  Each timing is the median of
+Both give the same decisions (checked here).  The per-dataset functions
+are one-row calls of the array functions ``decide_batch`` runs, so the
+per-replicate column times one-row batch calls.  ``BENCH_8.json`` was
+taken at commit afe4003, when they were separate code.  Each timing is the median of
 ``--repeats`` passes over the block, after one untimed warm-up pass that
 fills the alpha' and quantile caches; the result is printed as JSON, in
 microseconds per replicate.  Data generation, ``RngStream`` and the copy of

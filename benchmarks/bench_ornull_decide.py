@@ -8,7 +8,10 @@ B, one fixed block of B datasets drawn at the table1 truth (b1, b2) =
   ``RegressionData(x1[b], x2[b], y[b])`` and run ``or_null_test``;
 - in one call, ``linear_or.decide_batch(x1, x2, y, alpha, m_prime)``.
 
-Both give the same decisions (checked here).  Each timing is the median of
+Both give the same decisions (checked here).  ``or_null_test`` is a
+one-row call of the array function ``decide_batch`` runs, so the
+per-replicate column times one-row batch calls.  ``BENCH_10.json`` was
+taken at commit f2ee4b7, when it fitted by ``lstsq`` on its own path.  Each timing is the median of
 ``--repeats`` passes over the block, after one untimed warm-up pass that
 fills the alpha' cache; the result is printed as JSON, in microseconds per
 replicate.  Data generation, ``RngStream`` and the copy of the draws into

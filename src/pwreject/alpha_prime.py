@@ -56,9 +56,9 @@ def alpha_prime_no_boundary(alpha, spec):
     the chi2_{d1-d0} critical value at level alpha.  alpha == 1 is allowed
     as the degenerate limit alpha' = 1 (every replicate rejects).
     """
+    _check_level(alpha)
     if alpha == 1.0:
         return 1.0
-    _check_alpha(alpha, 1.0)
     if spec.has_boundary:
         raise ValueError("spec has a boundary; use alpha_prime_with_boundary")
     if spec.d0 == 0:
@@ -81,9 +81,9 @@ def alpha_prime_with_boundary(alpha, spec):
     1 - F_{chi2_{d1}}(chi2_{1-2*alpha, 1}) applies.  alpha >= 1/2 has no
     solution, except the degenerate limit alpha == 1 -> alpha' = 1.
     """
+    _check_level(alpha, 0.5)
     if alpha == 1.0:
         return 1.0
-    _check_alpha(alpha, 0.5)
     if not spec.has_boundary:
         raise ValueError("spec has no boundary; use alpha_prime_no_boundary")
     if spec.d0 == spec.d1:

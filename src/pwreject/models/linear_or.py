@@ -7,8 +7,12 @@ half-lines: (b1t, 0) with b1t spread over (0, 2*b1_hat), and (0, b2t)
 likewise.  Each simple null is tested with a finite-sample F-test (two
 linear restrictions, intercept free, denominator df n - 3).
 
-:func:`decide_batch` decides a whole stack of datasets at once; it is what
-the Monte Carlo harness calls, and :func:`or_null_test` is its reference.
+The max p-value is written once, as an array function over (B, n) stacks
+of datasets.  :func:`decide_batch` runs it on a whole stack; it is what the
+Monte Carlo harness calls.  :func:`or_null_test` is a one-row call of it.
+The reference they are checked against is
+:func:`pwreject.testing.pointwise_test` over :func:`boundary_test_points`
+with :func:`f_point_p_value`, which fits by ``lstsq``.
 """
 
 from dataclasses import dataclass
@@ -116,23 +120,13 @@ def or_null_test(data, alpha, m_prime):
     fails to reject.  Otherwise rejection requires every boundary point's
     p-value to be at most alpha'.  Since the p-value is monotone
     decreasing in the restricted RSS, the maximum p-value is attained at
-    the point with the smallest restricted RSS, which is located by cheap
-    vectorized algebra before the single CDF evaluation.
+    the point with the smallest restricted RSS, which ``_max_p_rows``
+    locates on the dataset as a one-row stack before the single CDF
+    evaluation.
     """
-    if m_prime < 1:
-        raise ValueError("m_prime must be >= 1")
-    fit = ols3_fit(data)
-    b1, b2 = fit.coefficients[1], fit.coefficients[2]
-    if b1 <= 0.0 or b2 <= 0.0:
-        # MLE inside the null: the continuum max p-value is 1.
-        return decide(1.0, NULL_SPEC, alpha, 0)
-
-    fracs = np.arange(1, m_prime + 1) / (m_prime + 1.0)
-    rss_b1 = _arm_rss(data.y, 2.0 * b1 * fracs, data.x1)
-    rss_b2 = _arm_rss(data.y, 2.0 * b2 * fracs, data.x2)
-    min_rss = min(rss_b1.min(), rss_b2.min())
-    max_p = _f_p(min_rss, fit.rss, data.n)
-    return decide(max_p, NULL_SPEC, alpha, 2 * m_prime)
+    max_p, outside = _max_p_rows(data.x1[None], data.x2[None], data.y[None], m_prime)
+    # An MLE inside the null is decided over the continuum: max p = 1.
+    return decide(max_p[0], NULL_SPEC, alpha, 2 * m_prime if outside[0] else 0)
 
 
 def _arm_rss(y, slopes, x):
@@ -152,19 +146,23 @@ def decide_batch(x1, x2, y, alpha, m_prime):
     """``or_null_test(RegressionData(x1[b], x2[b], y[b]), alpha, m_prime).reject``
     for every row b of a stack, as one bool array.
 
-    ``x1``, ``x2`` and ``y`` are (B, n) arrays; row b holds dataset b.  The
-    boundary arms and the minimum restricted RSS repeat the per-dataset
-    arithmetic along the last axis, and the F p-value stays per dataset on
+    ``x1``, ``x2`` and ``y`` are (B, n) arrays; row b holds dataset b.
+    """
+    return rejections(_max_p_rows(x1, x2, y, m_prime)[0], NULL_SPEC, alpha)
+
+
+def _max_p_rows(x1, x2, y, m_prime):
+    """(max p, outside) for each row of a (B, n) stack.
+
+    ``outside`` marks the rows whose MLE lies outside the null; the others
+    keep the continuum max p of 1.  The boundary arms and the minimum
+    restricted RSS are computed along the last axis, so a row's value does
+    not depend on the stack around it, and the F p-value is per dataset on
     the scalar ``f_cdf``.  The OLS fit is a closed-form solve of the
     centred normal equations instead of ``lstsq``, so a coefficient can
     differ from ``ols3_fit``'s by a few ULPs; a rank-deficient row raises
     ``LinAlgError`` as ``ols3_fit`` does.
     """
-    return rejections(_max_p_rows(x1, x2, y, m_prime), NULL_SPEC, alpha)
-
-
-def _max_p_rows(x1, x2, y, m_prime):
-    """The max p-value of ``or_null_test`` for each row of a (B, n) stack."""
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -179,7 +177,6 @@ def _max_p_rows(x1, x2, y, m_prime):
         raise ValueError("x1, x2 and y must be finite (no nan or inf)")
     b1, b2, rss_alt = _ols3_rows(x1, x2, y)
     p = np.ones(len(y))
-    # Rows whose MLE lies inside the null keep the continuum max p of 1.
     out = (b1 > 0.0) & (b2 > 0.0)
     x1, x2, y, b1, b2 = x1[out], x2[out], y[out], b1[out], b2[out]
     fracs = np.arange(1, m_prime + 1) / (m_prime + 1.0)
@@ -188,7 +185,7 @@ def _max_p_rows(x1, x2, y, m_prime):
     min_rss = np.minimum(rss_b1.min(axis=1), rss_b2.min(axis=1))
     pairs = zip(min_rss.tolist(), rss_alt[out].tolist())
     p[out] = [_f_p(r_null, r_alt, n) for r_null, r_alt in pairs]
-    return p
+    return p, out
 
 
 def _ols3_rows(x1, x2, y):

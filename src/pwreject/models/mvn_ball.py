@@ -12,9 +12,12 @@ Universal-inference baselines (split LRT, cross-fit LRT) and the
 boundaryless subspace variant used for the equivalence check with the
 traditional LRT live here too.
 
-:func:`decide_batch` gives the pointwise, split and cross-fit decisions
-for a whole stack of samples at once; it is what the Monte Carlo harness
-calls, and the per-sample tests are its reference.
+Each test's p-value is written once, as an array function over a (B, n,
+5) stack of samples.  :func:`decide_batch` runs it on a whole stack; it is
+what the Monte Carlo harness calls.  The per-sample tests are one-row
+calls of it on ``sample.rows[None]``.  The reference they are checked
+against is :func:`pwreject.testing.pointwise_test` with
+:func:`mvn_simple_p_value` at the projection.
 """
 
 import functools
@@ -48,12 +51,11 @@ BATCH_METHODS = ("pointwise", "split_lrt", "crossfit_lrt")
 
 @dataclass(frozen=True, eq=False)
 class MvnSample:
-    """An (n, 5) sample and the statistics every test on it shares.
+    """An (n, 5) sample.
 
     ``rows`` is a private read-only copy of the caller's array, so the
-    sample mean, its projection onto the null and the split-half means are
-    each computed once, on first use, and stay valid.  The arrays they
-    return are read-only too.
+    sample mean is computed once, on first use, and stays valid.  It is
+    read-only too.
     """
 
     rows: np.ndarray
@@ -77,22 +79,6 @@ class MvnSample:
     def mean(self):
         return _read_only(self.rows.mean(axis=0))
 
-    @functools.cached_property
-    def null_projection(self):
-        """The sample mean projected onto the ball-and-subspace null."""
-        return _read_only(project_to_null(self.mean))
-
-    @functools.cached_property
-    def split_means(self):
-        """(n1, mean of the first n1 rows, mean of the rest), n1 = ceil(n / 2)."""
-        n = self.n
-        if n < 2:
-            raise ValueError("need n >= 2 so both splits are nonempty")
-        n1 = (n + 1) // 2
-        m1 = self.rows[:n1].mean(axis=0)
-        m2 = self.rows[n1:].mean(axis=0)
-        return n1, _read_only(m1), _read_only(m2)
-
 
 def _read_only(arr):
     arr.flags.writeable = False
@@ -101,11 +87,7 @@ def _read_only(arr):
 
 def project_to_null(ybar):
     """Euclidean projection of a mean vector onto the ball-and-subspace null."""
-    out = project_to_subspace(ybar)
-    head_norm = float(np.linalg.norm(out[:3]))
-    if head_norm > 1.0:
-        out[:3] /= head_norm
-    return out
+    return _project_rows_to_null(np.array(ybar, dtype=float)[None])[0]
 
 
 def project_to_subspace(ybar):
@@ -124,43 +106,28 @@ def mvn_simple_p_value(sample, theta_t):
 
 def ball_pointwise_test(sample, alpha):
     """Pointwise test of the ball-and-subspace null at the projection point."""
-    p = mvn_simple_p_value(sample, sample.null_projection)
-    return decide(p, BALL_SPEC, alpha, 1)
-
-
-def _split_log_ratios(sample, theta_t):
-    """(log U1, log U2) of the held-out likelihood ratios at theta_t.
-
-    log U1 = l(theta_hat_2; Y1) - l(theta_t; Y1); constants cancel, leaving
-    (n1 / 2) * (||ybar1 - theta_t||^2 - ||ybar1 - theta_hat_2||^2).
-    """
-    n1, m1, m2 = sample.split_means
-    theta_t = np.asarray(theta_t)
-
-    def log_u(held_mean, held_count, est_mean):
-        return 0.5 * held_count * (
-            float(np.sum((held_mean - theta_t) ** 2))
-            - float(np.sum((held_mean - est_mean) ** 2))
-        )
-
-    return log_u(m1, n1, m2), log_u(m2, sample.n - n1, m1)
+    return decide(_one_row_p(sample, "pointwise"), BALL_SPEC, alpha, 1)
 
 
 def split_lrt_test(sample, alpha):
-    """Universal split LRT at the single projection test point."""
-    _check_level(alpha)
-    log_u1, _ = _split_log_ratios(sample, sample.null_projection)
-    # U1 > 1/alpha expressed through the e-value's implied p-value 1/U1.
-    p = _e_value_p(log_u1)
-    return TestDecision(p < alpha, p, alpha, 1)
+    """Universal split LRT at the single projection test point: U1 > 1/alpha."""
+    return _e_value_test(sample, "split_lrt", alpha)
 
 
 def cross_fit_lrt_test(sample, alpha):
     """Universal cross-fit LRT: (U1 + U2) / 2 compared with 1/alpha."""
+    return _e_value_test(sample, "crossfit_lrt", alpha)
+
+
+def _e_value_test(sample, method, alpha):
+    # U > 1/alpha expressed through the e-value's implied p-value 1/U.
     _check_level(alpha)
-    log_u1, log_u2 = _split_log_ratios(sample, sample.null_projection)
-    p = _e_value_p(np.logaddexp(log_u1, log_u2) - math.log(2.0))
+    p = _one_row_p(sample, method)
     return TestDecision(p < alpha, p, alpha, 1)
+
+
+def _one_row_p(sample, method):
+    return _p_value_rows(sample.rows[None], (method,))[method][0]
 
 
 def decide_batch(stack, methods, alpha):
@@ -169,11 +136,8 @@ def decide_batch(stack, methods, alpha):
     ``stack`` is a (B, n, 5) array holding B samples.  The result has one
     bool array of length B per name in ``methods`` (any of
     ``BATCH_METHODS``), and entry b equals the ``reject`` of the matching
-    per-sample test on ``MvnSample(stack[b])``.  The statistics agree bit
-    for bit: the means, the projection and the squared distances are axis
-    reductions that round as the per-sample ones do, and the chi-square
-    and e-value p-values stay per sample on the scalar kernel and
-    ``math.exp``.
+    per-sample test on ``MvnSample(stack[b])``, which reads the same
+    p-values from a one-row stack.
     """
     stack = np.asarray(stack, dtype=float)
     if stack.ndim != 3 or stack.shape[2] != DIM or stack.shape[1] < 1:
@@ -184,20 +148,37 @@ def decide_batch(stack, methods, alpha):
     if not np.isfinite(stack).all():
         raise ValueError("observations must be finite (no nan or inf)")
     _check_level(alpha)
+    p = _p_value_rows(stack, methods)
+    return [
+        rejections(p[m], BALL_SPEC, alpha) if m == "pointwise" else np.array(p[m]) < alpha
+        for m in methods
+    ]
+
+
+def _p_value_rows(stack, methods):
+    """The p-value of each named test on each sample of a (B, n, 5) stack.
+
+    One list per name in ``methods``: the chi-square p-value at the
+    projection for "pointwise", and for "split_lrt" and "crossfit_lrt" the
+    p-value 1/E of the held-out e-value, E = U1 or (U1 + U2) / 2.  The
+    means, the projection and the squared distances are axis reductions,
+    so each sample's values do not depend on the stack around it, and the
+    chi-square and e-value p-values are per sample on the scalar kernel
+    and ``math.exp``.
+    """
     n = stack.shape[1]
     mean = stack.mean(axis=1)
     proj = _project_rows_to_null(mean)
-    rejects = {}
+    p = {}
     if "pointwise" in methods:
         stat = n * _sq_norms(mean - proj)
-        p = [1.0 - chi2_cdf(s, DIM) for s in stat.tolist()]
-        rejects["pointwise"] = rejections(p, BALL_SPEC, alpha)
+        p["pointwise"] = [1.0 - chi2_cdf(s, DIM) for s in stat.tolist()]
     if any(m != "pointwise" for m in methods):
         log_u1, log_u2 = _split_log_ratio_rows(stack, proj)
-        rejects["split_lrt"] = _e_value_rejections(log_u1, alpha)
         log_avg = np.logaddexp(log_u1, log_u2) - math.log(2.0)
-        rejects["crossfit_lrt"] = _e_value_rejections(log_avg, alpha)
-    return [rejects[m] for m in methods]
+        p["split_lrt"] = [_e_value_p(x) for x in log_u1.tolist()]
+        p["crossfit_lrt"] = [_e_value_p(x) for x in log_avg.tolist()]
+    return p
 
 
 def _sq_norms(diff):
@@ -206,11 +187,12 @@ def _sq_norms(diff):
 
 
 def _project_rows_to_null(means):
-    """project_to_null on each row of a (B, 5) array.
+    """The projection onto the ball-and-subspace null of each row of a (B, 5) array.
 
+    The tail is zeroed and a head outside the unit ball is scaled onto its
+    sphere; heads inside are divided by 1.0, which leaves them unchanged.
     The head norm is a batched matmul, which rounds like ``np.linalg.norm``
-    of one row; ``np.sum(h * h, axis=1)`` does not.  Heads inside the ball
-    are divided by 1.0, which leaves them unchanged.
+    of one row; ``np.sum(h * h, axis=1)`` does not.
     """
     head = means[:, :3]
     norm = np.sqrt((head[:, None, :] @ head[:, :, None])[:, 0, 0])
@@ -220,7 +202,13 @@ def _project_rows_to_null(means):
 
 
 def _split_log_ratio_rows(stack, theta_t):
-    """_split_log_ratios for each sample of a (B, n, 5) stack at rows of theta_t."""
+    """(log U1, log U2) of the held-out likelihood ratios, per sample of a (B, n, 5) stack.
+
+    The first n1 = ceil(n / 2) rows and the rest are the two halves, and
+    row b of ``theta_t`` is sample b's test point.  log U1 = l(theta_hat_2;
+    Y1) - l(theta_t; Y1); constants cancel, leaving (n1 / 2) *
+    (||ybar1 - theta_t||^2 - ||ybar1 - theta_hat_2||^2), and U2 likewise.
+    """
     n = stack.shape[1]
     if n < 2:
         raise ValueError("need n >= 2 so both splits are nonempty")
@@ -232,10 +220,6 @@ def _split_log_ratio_rows(stack, theta_t):
     log_u1 = 0.5 * n1 * (to_t1 - between)
     log_u2 = 0.5 * (n - n1) * (to_t2 - between)
     return log_u1, log_u2
-
-
-def _e_value_rejections(log_e, alpha):
-    return np.array([_e_value_p(x) < alpha for x in log_e.tolist()], dtype=bool)
 
 
 def _e_value_p(log_e):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pwreject.alpha_prime import _check_alpha, _check_level
+from pwreject.alpha_prime import _check_level
 from pwreject.distributions import t_cdf, t_quantile
 from pwreject.testing import TestDecision
 
@@ -86,11 +86,8 @@ def interval_null_test(sample, a, b, alpha):
     """
     if a > b:
         raise ValueError("interval endpoints out of order: a > b")
-    if alpha == 1.0:
-        ap = 1.0
-    else:
-        _check_alpha(alpha, 0.5)
-        ap = 2.0 * alpha
+    _check_level(alpha, 0.5)
+    ap = 1.0 if alpha == 1.0 else 2.0 * alpha
     max_p = _max_interval_p(sample, a, b)
     return TestDecision(max_p <= ap, max_p, ap, 0)
 

@@ -8,9 +8,14 @@ inference on psi runs over a grid of proxy phi values around phi_hat.
 For a fixed phi_t the restricted RSS is quadratic in psi0, so the
 acceptance set {psi0 : F <= threshold} is an interval in closed form.
 
-:func:`decide_batch` gives the region-contains-psi and reject decisions
-of both methods for a whole stack of datasets at once; it is what the
-Monte Carlo harness calls, and the per-dataset functions are its reference.
+The statistics are written once, as array functions over (B, n) stacks
+of datasets: the minimum restricted RSS over the proxy grid for the tests
+and the acceptance intervals for the regions.  :func:`decide_batch` runs
+them on a whole stack; it is what the Monte Carlo harness calls.  The
+per-dataset tests and regions are one-row calls of them.  The reference
+they are checked against is :func:`pwreject.testing.pointwise_test` over
+the proxy grid with :func:`f_stat_p_value`, and :func:`ols_line_fit` for
+the fit.
 """
 
 import math
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pwreject.alpha_prime import NullSpec, alpha_prime
+from pwreject.alpha_prime import NullSpec, _check_alpha, alpha_prime
 from pwreject.distributions import chi2_cdf, chi2_quantile, f_cdf, f_quantile
 from pwreject.regions import Region1D
 from pwreject.testing import TestDecision, decide, rejections
@@ -51,6 +56,10 @@ class DegenerateFitError(ValueError):
     """OLS estimates make the (psi, phi) reparameterization singular."""
 
 
+# Why a fit is degenerate, keyed by the flag ``_proxy_rows`` gives its row.
+_DEGENERATE = {1: "covariate is constant", 2: "OLS estimates give a singular reparameterization"}
+
+
 @dataclass(frozen=True, eq=False)
 class XYData:
     x: np.ndarray
@@ -79,7 +88,7 @@ def ols_line_fit(data):
     ybar = data.y.mean()
     sxx = float(np.sum((data.x - xbar) ** 2))
     if sxx == 0.0:
-        raise DegenerateFitError("covariate is constant")
+        raise DegenerateFitError(_DEGENERATE[1])
     b1 = float(np.sum((data.x - xbar) * (data.y - ybar)) / sxx)
     b0 = ybar - b1 * xbar
     rss = float(np.sum((data.y - b0 - b1 * data.x) ** 2))
@@ -89,12 +98,8 @@ def ols_line_fit(data):
 def fit_psi_phi(data):
     """MLEs (psi_hat, phi_hat) = (b1_hat**2 / b0_hat, b0_hat / b1_hat)."""
     b0, b1, _ = ols_line_fit(data)
-    return _psi_phi_from_line(b0, b1)
-
-
-def _psi_phi_from_line(b0, b1):
     if b1 == 0.0 or b0 == 0.0:
-        raise DegenerateFitError("OLS estimates give a singular reparameterization")
+        raise DegenerateFitError(_DEGENERATE[2])
     return b1 * b1 / b0, b0 / b1
 
 
@@ -127,86 +132,46 @@ def proxy_phi_grid(phi_hat, n, m, width_mult):
     return phi_hat - w + 2.0 * w * (np.arange(1, m + 1) - 0.5) / m
 
 
-def _proxy_regressors(data, m, width_mult):
-    """(rss_alt, g) from one OLS fit; g[t] = phi_t * x + phi_t**2 over the grid."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    b0, b1, rss_alt = ols_line_fit(data)
-    _, phi_hat = _psi_phi_from_line(b0, b1)
-    grid = proxy_phi_grid(phi_hat, data.n, m, width_mult)
-    return rss_alt, np.outer(grid, data.x) + (grid * grid)[:, None]
-
-
-def _accepted_psi(y, g, rss_threshold):
-    """Region1D of the psi0 with RSS_null(psi0, g[t]) <= rss_threshold for some t.
-
-    RSS_null = a*psi0**2 - 2*b*psi0 + c per row, so a row accepts an
-    interval, or (flat, a == 0) every psi0 or none.
-    """
-    a = np.sum(g * g, axis=1)
-    b = np.sum(y * g, axis=1)
-    c = float(np.sum(y * y))
-    if c <= rss_threshold and not a.all():
-        return Region1D([(-math.inf, math.inf)])
-    disc = b * b - a * (c - rss_threshold)
-    keep = (a != 0.0) & (disc >= 0.0)
-    a, b, root = a[keep], b[keep], np.sqrt(disc[keep])
-    return Region1D(zip(((b - root) / a).tolist(), ((b + root) / a).tolist()))
-
-
-def _region_from_threshold(data, m, width_mult, f_threshold):
-    rss_alt, g = _proxy_regressors(data, m, width_mult)
-    rss_threshold = rss_alt * _rss_factor(f_threshold, data.n)
-    return _accepted_psi(data.y, g, rss_threshold)
-
-
-def _rss_factor(f_threshold, n):
-    """RSS_null <= RSS_alt * factor  <=>  F <= f_threshold."""
-    return 1.0 + 2.0 * f_threshold / (n - 2)
-
-
-def _f_threshold_F(alpha, n):
-    return f_quantile(1.0 - alpha_prime(alpha, NULL_SPEC), 2, n - 2)
-
-
-def _f_threshold_LRT(alpha, n):
-    return (n - 2) / 2.0 * (math.exp(chi2_quantile(1.0 - alpha, 2) / n) - 1.0)
-
-
-_REGION_F_THRESHOLDS = {"pointwise": _f_threshold_F, "lrt": _f_threshold_LRT}
-
-
 def psi_region_F(data, alpha, m, width_mult=REGION_WIDTH):
     """Pointwise confidence region for psi from the finite-sample F test."""
-    return _region_from_threshold(data, m, width_mult, _f_threshold_F(alpha, data.n))
+    return _region(data, "pointwise", alpha, m, width_mult)
 
 
 def psi_region_LRT(data, alpha, m, width_mult=REGION_WIDTH):
     """Large-sample LRT baseline region over the same proxy grid."""
-    return _region_from_threshold(data, m, width_mult, _f_threshold_LRT(alpha, data.n))
+    return _region(data, "lrt", alpha, m, width_mult)
 
 
-def _min_rss_null(data, psi0, m, width_mult):
-    rss_alt, g = _proxy_regressors(data, m, width_mult)
-    rss_null = np.sum((data.y[None, :] - psi0 * g) ** 2, axis=1)
-    return rss_alt, float(rss_null.min())
+def _region(data, method, alpha, m, width_mult):
+    """The region built from the endpoints of ``data`` as a one-row stack."""
+    rows = _one_row(data, "coverage", (method,), None, alpha, m, width_mult)
+    whole_line, lo, hi, curved = (v[0] for v in rows[method])
+    if whole_line:
+        return Region1D([(-math.inf, math.inf)])
+    return Region1D(zip(lo[curved].tolist(), hi[curved].tolist()))
 
 
 def psi_pointwise_test(data, psi0, alpha, m, width_mult=TEST_WIDTH):
     """Test H0: psi = psi0 by pointwise rejection over proxy phi values."""
-    rss_alt, min_rss_null = _min_rss_null(data, psi0, m, width_mult)
-    max_p = _f_p_value(_f_from_rss(min_rss_null, rss_alt, data.n), data.n)
+    (max_p,) = _one_row(data, "test", ("pointwise",), psi0, alpha, m, width_mult)["pointwise"]
     return decide(max_p, NULL_SPEC, alpha, m)
 
 
 def psi_lrt_test(data, psi0, alpha, m, width_mult=TEST_WIDTH):
     """LRT baseline: reject when n*log(RSS_null / RSS_alt) clears the
     chi2_{1-alpha, 1} cutoff at every proxy point."""
-    rss_alt, min_rss_null = _min_rss_null(data, psi0, m, width_mult)
-    stat = _lrt_stat(min_rss_null, rss_alt, data.n)
-    reject = stat >= chi2_quantile(1.0 - alpha, 1)
+    cutoff = _lrt_cutoff(alpha)
+    (stat,) = _one_row(data, "test", ("lrt",), psi0, alpha, m, width_mult)["lrt"]
     max_p = 0.0 if math.isinf(stat) else 1.0 - chi2_cdf(stat, 1)
-    return TestDecision(reject, max_p, alpha, m)
+    return TestDecision(stat >= cutoff, max_p, alpha, m)
+
+
+def _one_row(data, *args):
+    """``_statistic_rows`` on ``data`` as a one-row stack; a degenerate fit raises."""
+    flag, out = _statistic_rows(data.x[None], data.y[None], *args)
+    if flag[0]:
+        raise DegenerateFitError(_DEGENERATE[flag[0]])
+    return out
 
 
 def _lrt_stat(min_rss_null, rss_alt, n):
@@ -217,6 +182,22 @@ def _lrt_stat(min_rss_null, rss_alt, n):
     # up to rounding; clamp the statistic at zero.
     ratio = min_rss_null / rss_alt
     return n * math.log(ratio) if ratio > 1.0 else 0.0
+
+
+def _lrt_cutoff(alpha):
+    # A quantile at 1 - alpha has no alpha == 1 limit.
+    _check_alpha(alpha, 1.0)
+    return chi2_quantile(1.0 - alpha, 1)
+
+
+def _region_rss_factor(method, alpha, n):
+    """The factor with RSS_null <= RSS_alt * factor  <=>  psi0 is in the method's region."""
+    _check_alpha(alpha, 1.0)
+    if method == "pointwise":
+        f_threshold = f_quantile(1.0 - alpha_prime(alpha, NULL_SPEC), 2, n - 2)
+    else:
+        f_threshold = (n - 2) / 2.0 * (math.exp(chi2_quantile(1.0 - alpha, 2) / n) - 1.0)
+    return 1.0 + 2.0 * f_threshold / (n - 2)
 
 
 def decide_batch(x, y, mode, methods, alpha, m, psi):
@@ -235,63 +216,47 @@ def decide_batch(x, y, mode, methods, alpha, m, psi):
     b0_hat == 0, where the per-dataset functions raise
     :class:`DegenerateFitError`), in row order, and the number of the
     others.  Entry for entry the hits equal the per-dataset results on
-    ``XYData(x[b], y[b])``: the fit, the proxy grid, the regressors and
-    the RSS sums are axis reductions that round as the per-dataset ones
-    do, a region decides membership from its interval endpoints (the
-    comparisons ``Region1D.contains`` makes on their union), and the test
-    statistics stay per dataset on the scalar ``f_cdf`` and ``math.log``.
+    ``XYData(x[b], y[b])``, which are one-row calls of the same
+    ``_statistic_rows``.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 2:
         raise ValueError("x and y must be (B, n) arrays of equal shape")
-    n = x.shape[1]
-    if n < 3:
+    if x.shape[1] < 3:
         raise ValueError("need n >= 3 observations")
     if mode not in ("coverage", "test"):
         raise ValueError("unknown mode %r" % (mode,))
     unknown = [name for name in methods if name not in BATCH_METHODS]
     if unknown:
         raise ValueError("method %r not available for the nuisance model" % (unknown[0],))
-    if m < 1:
-        raise ValueError("m must be >= 1")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("x and y must be finite (no nan or inf)")
-    b0, b1, rss_alt, degenerate = _line_fit_rows(x, y)
-    keep = ~degenerate
-    x, y, b0, b1, rss_alt = x[keep], y[keep], b0[keep], b1[keep], rss_alt[keep]
     width = REGION_WIDTH if mode == "coverage" else TEST_WIDTH
-    grid = proxy_phi_grid((b0 / b1)[:, None], n, m, width)
-    g = _regressor_rows(grid, x)
+    flag, rows = _statistic_rows(x, y, mode, methods, psi, alpha, m, width)
     if mode == "coverage":
-        a = np.sum(g * g, axis=2)
-        b = np.sum(y[:, None, :] * g, axis=2)
-        c = np.sum(y * y, axis=1)
+        hits = [whole_line | (curved & (lo <= psi) & (psi <= hi)).any(axis=1)
+                for whole_line, lo, hi, curved in (rows[name] for name in methods)]
+    else:
         hits = [
-            _contains(psi, a, b, c, rss_alt * _rss_factor(_REGION_F_THRESHOLDS[name](alpha, n), n))
+            rejections(rows[name], NULL_SPEC, alpha) if name == "pointwise"
+            else np.array(rows[name]) >= _lrt_cutoff(alpha)
             for name in methods
         ]
-    else:
-        min_rss_null = np.sum((y[:, None, :] - psi * g) ** 2, axis=2).min(axis=1)
-        pairs = list(zip(min_rss_null.tolist(), rss_alt.tolist()))
-        hits = []
-        for name in methods:
-            if name == "pointwise":
-                p = [_f_p_value(_f_from_rss(r_null, r_alt, n), n) for r_null, r_alt in pairs]
-                hits.append(rejections(p, NULL_SPEC, alpha))
-            else:
-                cutoff = chi2_quantile(1.0 - alpha, 1)
-                stats = [_lrt_stat(r_null, r_alt, n) for r_null, r_alt in pairs]
-                hits.append(np.array(stats, dtype=float) >= cutoff)
-    return hits, int(np.count_nonzero(degenerate))
+    return hits, int(np.count_nonzero(flag))
 
 
-def _line_fit_rows(x, y):
-    """ols_line_fit on each row: (b0, b1, rss_alt, degenerate) over B rows.
+def _proxy_rows(x, y, m, width_mult):
+    """The fit, the proxy grid and the regressors of each dataset of a (B, n) stack.
 
-    A degenerate row (sxx == 0, b1 == 0 or b0 == 0) holds nan or inf or a
-    zero coefficient, which the caller drops.
+    Returns ``(flag, rss_alt, y, g)``.  ``flag`` is 0 for a row whose fit
+    is not degenerate and otherwise keys its reason in ``_DEGENERATE``.
+    ``rss_alt``, ``y`` and the (B', m, n) regressors g[b, t] = phi_t *
+    x[b] + phi_t**2 cover the B' other rows in order.  The fit rounds as
+    ``ols_line_fit`` does on one dataset.
     """
+    if m < 1:
+        raise ValueError("m must be >= 1")
     xbar = x.mean(axis=1)
     ybar = y.mean(axis=1)
     dx = x - xbar[:, None]
@@ -299,21 +264,52 @@ def _line_fit_rows(x, y):
     with np.errstate(divide="ignore", invalid="ignore"):
         b1 = np.sum(dx * (y - ybar[:, None]), axis=1) / sxx
         b0 = ybar - b1 * xbar
-        rss = np.sum((y - b0[:, None] - b1[:, None] * x) ** 2, axis=1)
-    return b0, b1, rss, (sxx == 0.0) | (b1 == 0.0) | (b0 == 0.0)
+    flag = np.where(sxx == 0.0, 1, np.where((b1 == 0.0) | (b0 == 0.0), 2, 0))
+    keep = flag == 0
+    x, y, b0, b1 = x[keep], y[keep], b0[keep], b1[keep]
+    rss_alt = np.sum((y - b0[:, None] - b1[:, None] * x) ** 2, axis=1)
+    grid = proxy_phi_grid((b0 / b1)[:, None], x.shape[1], m, width_mult)
+    g = grid[:, :, None] * x[:, None, :] + (grid * grid)[:, :, None]
+    return flag, rss_alt, y, g
 
 
-def _regressor_rows(grid, x):
-    """(B, m, n) regressors g[b, t] = grid[b, t] * x[b] + grid[b, t]**2."""
-    return grid[:, :, None] * x[:, None, :] + (grid * grid)[:, :, None]
+def _statistic_rows(x, y, mode, methods, psi0, alpha, m, width_mult):
+    """What the named methods compute on each dataset of a (B, n) stack.
+
+    Returns ``(flag, out)`` with ``flag`` from ``_proxy_rows`` and, per
+    name in ``methods``, its values over the rows whose fit is not
+    degenerate.  In ``mode`` "test", for H0: psi = psi0 at the smallest
+    RSS_null over the proxy grid: a list of max p-values for "pointwise"
+    and of n * log(RSS_null / RSS_alt) for "lrt", per dataset on the scalar
+    ``f_cdf`` and ``math.log``.  In ``mode`` "coverage": the
+    ``_endpoints`` of the method's region, with RSS_null(psi0, phi_t) =
+    a*psi0**2 - 2*b*psi0 + c at each proxy point.
+    """
+    flag, rss_alt, y, g = _proxy_rows(x, y, m, width_mult)
+    n = y.shape[1]
+    if mode == "test":
+        min_rss_null = np.sum((y[:, None, :] - psi0 * g) ** 2, axis=2).min(axis=1)
+        pairs = list(zip(min_rss_null.tolist(), rss_alt.tolist()))
+        stat = {"pointwise": lambda r_null, r_alt: _f_p_value(_f_from_rss(r_null, r_alt, n), n),
+                "lrt": lambda r_null, r_alt: _lrt_stat(r_null, r_alt, n)}
+        return flag, {name: [stat[name](*pair) for pair in pairs] for name in methods}
+    a = np.sum(g * g, axis=2)
+    b = np.sum(y[:, None, :] * g, axis=2)
+    c = np.sum(y * y, axis=1)
+    thresholds = {name: rss_alt * _region_rss_factor(name, alpha, n) for name in methods}
+    return flag, {name: _endpoints(a, b, c, thresholds[name]) for name in methods}
 
 
-def _contains(psi, a, b, c, rss_threshold):
-    """_accepted_psi(y, g, rss_threshold).contains(psi) for each row.
+def _endpoints(a, b, c, rss_threshold):
+    """The psi0 with a*psi0**2 - 2*b*psi0 + c <= rss_threshold, per proxy point.
 
-    ``a`` and ``b`` are (B, m), ``c`` and ``rss_threshold`` (B,).  A row
-    contains psi when its RSS is flat and at most the threshold next to a
-    flat proxy row, or when some curved proxy row's interval holds psi.
+    ``a`` and ``b`` are (B, m), ``c`` and ``rss_threshold`` (B,).  Returns
+    ``(whole_line, lo, hi, curved)``.  Row b accepts every psi0 when
+    ``whole_line[b]``: its RSS is flat (a == 0) at some proxy point and at
+    most the threshold there.  Otherwise it accepts the union of the
+    intervals [lo[b, t], hi[b, t]] over the proxy points t with
+    ``curved[b, t]`` (a != 0 and real roots); a flat point over the
+    threshold accepts nothing.
     """
     whole_line = (c <= rss_threshold) & (a == 0.0).any(axis=1)
     disc = b * b - a * (c - rss_threshold)[:, None]
@@ -321,5 +317,4 @@ def _contains(psi, a, b, c, rss_threshold):
         root = np.sqrt(disc)
         lo = (b - root) / a
         hi = (b + root) / a
-    inside = (a != 0.0) & (disc >= 0.0) & (lo <= psi) & (psi <= hi)
-    return whole_line | inside.any(axis=1)
+    return whole_line, lo, hi, (a != 0.0) & (disc >= 0.0)

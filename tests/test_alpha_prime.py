@@ -85,6 +85,19 @@ class TestDegenerateAndErrors:
         for alpha, upper in ((1.0, 1.0), (1.0, 0.5), (0.3, 0.5), (0.7, 1.0)):
             _check_level(alpha, upper)
 
+    @pytest.mark.parametrize("alpha", [0.7, 0.5, 1.5, 0.0, -1.0])
+    def test_alpha_prime_messages_state_the_legal_set(self, alpha):
+        # 1 is legal, so 0.7 used to read "must lie in (0, 0.5)" wrongly.
+        boundary = NullSpec(2, 2, has_boundary=True)
+        with pytest.raises(ValueError) as err:
+            alpha_prime_with_boundary(alpha, boundary)
+        assert str(err.value) == "significance level must lie in (0, 0.5) or be 1, got %r" % alpha
+        if not 0.0 < alpha < 1.0:
+            with pytest.raises(ValueError) as err:
+                alpha_prime_no_boundary(alpha, NullSpec(2, 1))
+            assert str(err.value) == "significance level must lie in (0, 1], got %r" % alpha
+        assert alpha_prime_with_boundary(1.0, boundary) == alpha_prime_no_boundary(1.0, NullSpec(2, 1)) == 1.0
+
     def test_dispatch_mismatch(self):
         with pytest.raises(ValueError):
             alpha_prime_no_boundary(0.05, NullSpec(2, 2, has_boundary=True))

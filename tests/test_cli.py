@@ -127,6 +127,13 @@ class TestTestCommand:
         assert captured.out == ""
         assert "significance level must lie in" in captured.err
 
+    def test_interval_alpha_message_states_the_legal_set(self, interval_csv, capsys):
+        assert main(["test", "--model", "interval", "--data", interval_csv,
+                     "--alpha", "0.7"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: significance level must lie in (0, 0.5) or be 1, got 0.7\n"
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_value_exits_2(self, tmp_path, capsys, bad):
         path = write_csv(tmp_path / "nonfinite.csv", ["y"], [[1.0], [bad], [2.0]])
@@ -257,6 +264,13 @@ class TestConfreg:
         with open(out_path) as fh:
             intervals = json.load(fh)
         assert intervals and all(len(iv) == 2 for iv in intervals)
+
+    def test_alpha_one_exits_2_with_the_level_message(self, nuisance_csv, capsys):
+        # It used to say "probability must lie in (0, 1), got 0.0".
+        assert main(["confreg", "--data", nuisance_csv, "--alpha", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: significance level must lie in (0, 1), got 1.0\n"
 
     def test_unwritable_out_exits_2(self, nuisance_csv, tmp_path, capsys):
         out_path = str(tmp_path / "no" / "such" / "region.csv")

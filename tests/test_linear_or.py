@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import oracles
 from pwreject.distributions import RngStream
 from pwreject.models import linear_or as lo
-from pwreject.testing import pointwise_test
+from pwreject.testing import decide, pointwise_test
 
 
 def make_data(seed=0, n=30, b1=1.0, b2=0.0, b0=0.0):
@@ -128,21 +128,43 @@ def regression_stack(seed, count, n, b1=1.0, b2=0.0, b0=0.0):
     return x1, x2, b0 + b1 * x1 + b2 * x2 + g.standard_normal((count, n))
 
 
-# Largest relative difference seen between the batch's max p and
-# or_null_test's: 9.8e-13, over 32,000 table1 replicates (four truths, two
-# seeds).
-# The closed-form fit rounds differently from lstsq by a few ULPs.
+# The closed-form fit and the boundary arms round differently from the
+# lstsq reference by a few ULPs.  Over 32,000 table1 replicates (four
+# truths, two seeds) the largest difference in max p was 9.8e-14 relative
+# (where p > 1e-3) and 2.1e-14 absolute, and no decision flipped.
 P_RTOL = 1e-10
 
 
-def assert_batch_matches_scalar(x1, x2, y, alpha, m_prime):
-    """decide_batch and the batch max p against or_null_test; returns the rejects."""
+def reference_decision(data, alpha, m_prime):
+    """pointwise_test over the boundary points with the lstsq p-values.
+
+    An MLE inside the null is decided over the continuum: max p = 1 over no
+    listed points.
+    """
+    fit = lo.ols3_fit(data)
+    if fit.coefficients[1] <= 0.0 or fit.coefficients[2] <= 0.0:
+        return decide(1.0, lo.NULL_SPEC, alpha, 0)
+    return pointwise_test(
+        lambda point: lo.f_point_p_value(data, *point, fit),
+        lo.boundary_test_points(fit, m_prime), lo.NULL_SPEC, alpha,
+    )
+
+
+def assert_batch_matches_reference(x1, x2, y, alpha, m_prime):
+    """decide_batch and the batch max p against the reference; returns (rejects, max p).
+
+    Each row must also equal the one-row call ``or_null_test`` on that
+    dataset alone, bit for bit.
+    """
     rejects = lo.decide_batch(x1, x2, y, alpha, m_prime)
-    max_p = lo._max_p_rows(x1, x2, y, m_prime)
-    want = [lo.or_null_test(lo.RegressionData(*row), alpha, m_prime) for row in zip(x1, x2, y)]
+    max_p, _ = lo._max_p_rows(x1, x2, y, m_prime)
+    datasets = [lo.RegressionData(*row) for row in zip(x1, x2, y)]
+    want = [reference_decision(d, alpha, m_prime) for d in datasets]
     assert rejects.dtype == np.dtype(bool) and rejects.shape == (len(y),)
     assert rejects.tolist() == [d.reject for d in want]
-    assert max_p.tolist() == pytest.approx([d.max_p for d in want], rel=P_RTOL, abs=0.0)
+    assert max_p.tolist() == pytest.approx([d.max_p for d in want], rel=P_RTOL, abs=1e-12)
+    one_row = [lo.or_null_test(d, alpha, m_prime) for d in datasets]
+    assert [(d.reject, d.max_p) for d in one_row] == list(zip(rejects.tolist(), max_p.tolist()))
     return rejects, max_p
 
 
@@ -154,7 +176,7 @@ class TestDecideBatch:
         for b1, b2 in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)):
             x1, x2, y = regression_stack(n + m_prime, 30, n, b1, b2, b0=0.5)
             for alpha in (0.05, 0.2):
-                rejects, _ = assert_batch_matches_scalar(x1, x2, y, alpha, m_prime)
+                rejects, _ = assert_batch_matches_reference(x1, x2, y, alpha, m_prime)
                 outcomes.update(rejects.tolist())
             fits = [lo.ols3_fit(lo.RegressionData(*row)).coefficients for row in zip(x1, x2, y)]
             inside.update("b1" for c in fits if c[1] <= 0.0)
@@ -165,11 +187,16 @@ class TestDecideBatch:
     def test_rows_inside_the_null_get_p_one(self):
         x1, x2, y = regression_stack(2, 40, 8, b1=-1.0, b2=1.0)
         x1[20:], x2[20:] = x2[20:].copy(), x1[20:].copy()  # b2 <= 0 in the second half
-        _, max_p = assert_batch_matches_scalar(x1, x2, y, 0.05, 5)
+        _, max_p = assert_batch_matches_reference(x1, x2, y, 0.05, 5)
+        _, outside = lo._max_p_rows(x1, x2, y, 5)
         fits = [lo.ols3_fit(lo.RegressionData(*row)).coefficients for row in zip(x1, x2, y)]
-        for c, p in zip(fits, max_p):
-            assert (p == 1.0) == (c[1] <= 0.0 or c[2] <= 0.0)
+        for c, p, out in zip(fits, max_p, outside):
+            assert (p == 1.0) == (c[1] <= 0.0 or c[2] <= 0.0) == (not out)
         assert (max_p == 1.0).sum() > 30
+        # or_null_test lists no test points for those rows, 2 m' for the others.
+        n_points = [lo.or_null_test(lo.RegressionData(*row), 0.05, 5).n_points
+                    for row in zip(x1, x2, y)]
+        assert n_points == [10 * out for out in outside.tolist()]
 
     def test_noiseless_rows(self):
         # Integer columns with dyadic means: the closed form fits exactly,
@@ -183,13 +210,13 @@ class TestDecideBatch:
         _, _, rss_alt = lo._ols3_rows(*stack)
         assert rss_alt.tolist() == [0.0] * len(truths)
         for m_prime in (1, 5):
-            rejects, max_p = assert_batch_matches_scalar(*stack, 0.05, m_prime)
+            rejects, max_p = assert_batch_matches_reference(*stack, 0.05, m_prime)
             assert max_p.tolist() == [0.0, 0.0, 1.0, 1.0, 1.0]
             assert rejects.tolist() == [True, True, False, False, False]
 
     def test_alpha_one_rejects_every_row(self):
         x1, x2, y = regression_stack(4, 20, 6, b1=-1.0, b2=1.0)
-        rejects, _ = assert_batch_matches_scalar(x1, x2, y, 1.0, 3)
+        rejects, _ = assert_batch_matches_reference(x1, x2, y, 1.0, 3)
         assert rejects.all()
 
     def test_ill_posed_row_is_fitted_by_ols3_fit(self):
@@ -200,7 +227,7 @@ class TestDecideBatch:
         b1, b2, rss = lo._ols3_rows(x1, x2, y)
         fit = lo.ols3_fit(lo.RegressionData(x1[1], x2[1], y[1]))
         assert (b1[1], b2[1], rss[1]) == (fit.coefficients[1], fit.coefficients[2], fit.rss)
-        _, max_p = assert_batch_matches_scalar(x1, x2, y, 0.05, 5)
+        _, max_p = assert_batch_matches_reference(x1, x2, y, 0.05, 5)
         assert max_p[1] == lo.or_null_test(lo.RegressionData(x1[1], x2[1], y[1]), 0.05, 5).max_p
 
     @pytest.mark.parametrize("case", ["collinear", "constant-x1", "constant-x2"])
@@ -254,4 +281,4 @@ class TestDecideBatch:
     )
     def test_matches_or_null_test_hypothesis(self, seed, count, n, b1, b2, b0, alpha, m_prime):
         x1, x2, y = regression_stack(seed, count, n, b1, b2, b0)
-        assert_batch_matches_scalar(x1, x2, y, alpha, m_prime)
+        assert_batch_matches_reference(x1, x2, y, alpha, m_prime)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from pwreject.distributions import RngStream, chi2_cdf, chi2_quantile
 from pwreject.models import mvn_ball as mb
+from pwreject.testing import pointwise_test
 
 
 def make_sample(seed=0, n=10, theta=(0, 0, 0, 0, 0)):
@@ -75,36 +76,64 @@ class TestBallTest:
         assert mb.ball_pointwise_test(s, 0.05).reject
 
 
+def direct_log_us(sample, theta_t):
+    """(log U1, log U2) from the literal Gaussian log-likelihoods of the two halves."""
+    n1 = (sample.n + 1) // 2
+    halves = sample.rows[:n1], sample.rows[n1:]
+
+    def loglik(rows, theta):
+        return -0.5 * float(np.sum((rows - theta) ** 2))
+
+    theta_t = np.asarray(theta_t, float)
+    return tuple(
+        loglik(held, other.mean(axis=0)) - loglik(held, theta_t)
+        for held, other in (halves, halves[::-1])
+    )
+
+
+def reference_decisions(stack, methods, alpha):
+    """Per-sample decisions of the named tests from the per-point references.
+
+    "pointwise": pointwise_test with mvn_simple_p_value at the projection.
+    "split_lrt" and "crossfit_lrt": U1 and (U1 + U2) / 2 from the literal
+    log-likelihoods, against 1/alpha.
+    """
+    out = {m: [] for m in methods}
+    for rows in stack:
+        s = mb.MvnSample(rows)
+        proj = mb.project_to_null(s.mean)
+        if "pointwise" in methods:
+            out["pointwise"].append(pointwise_test(
+                lambda t: mb.mvn_simple_p_value(s, t), [proj], mb.BALL_SPEC, alpha).reject)
+        if s.n < 2:
+            continue
+        log_u1, log_u2 = direct_log_us(s, proj)
+        log_avg = float(np.logaddexp(log_u1, log_u2)) - math.log(2.0)
+        for method, log_e in (("split_lrt", log_u1), ("crossfit_lrt", log_avg)):
+            if method in methods:
+                out[method].append(log_e > -math.log(alpha))
+    return [np.array(out[m], dtype=bool) for m in methods]
+
+
 class TestUniversalBaselines:
-    def _direct_log_u1(self, sample, theta_t):
-        # Literal Gaussian log-likelihood difference on the first split.
-        n1 = (sample.n + 1) // 2
-        y1, y2 = sample.rows[:n1], sample.rows[n1:]
-        theta_hat2 = y2.mean(axis=0)
-
-        def loglik(rows, theta):
-            return -0.5 * float(np.sum((rows - theta) ** 2))
-
-        return loglik(y1, theta_hat2) - loglik(y1, np.asarray(theta_t, float))
-
     def test_split_ratio_matches_direct_loglik(self):
         for seed in (0, 1, 2):
             for n in (2, 5, 10, 11):
                 s = make_sample(seed=seed, n=n, theta=(1, 0, 0, 0, 0))
                 theta_t = mb.project_to_null(s.mean)
-                log_u1, log_u2 = mb._split_log_ratios(s, theta_t)
-                assert log_u1 == pytest.approx(self._direct_log_u1(s, theta_t), abs=1e-9)
+                log_u1, log_u2 = mb._split_log_ratio_rows(s.rows[None], theta_t[None])
+                assert (log_u1[0], log_u2[0]) == pytest.approx(direct_log_us(s, theta_t), abs=1e-9)
 
     def test_split_decision_rule(self):
         s = make_sample(seed=4, n=10, theta=(2.5, 0, 0, 0, 0))
         dec = mb.split_lrt_test(s, 0.05)
-        log_u1, _ = mb._split_log_ratios(s, mb.project_to_null(s.mean))
+        log_u1, _ = direct_log_us(s, mb.project_to_null(s.mean))
         assert dec.reject == (log_u1 > math.log(1.0 / 0.05))
 
     def test_cross_fit_averages_evalues(self):
         s = make_sample(seed=5, n=9, theta=(2.0, 0, 0, 0, 0))
         dec = mb.cross_fit_lrt_test(s, 0.05)
-        log_u1, log_u2 = mb._split_log_ratios(s, mb.project_to_null(s.mean))
+        log_u1, log_u2 = direct_log_us(s, mb.project_to_null(s.mean))
         avg = 0.5 * (math.exp(log_u1) + math.exp(log_u2))
         assert dec.reject == (avg > 1.0 / 0.05)
 
@@ -173,20 +202,11 @@ class TestSampleIsolation:
 
     def test_statistics_are_read_only(self):
         s = make_sample(n=6)
-        n1, m1, m2 = s.split_means
-        for arr in (s.rows, s.mean, s.null_projection, m1, m2):
+        for arr in (s.rows, s.mean):
             with pytest.raises(ValueError):
                 arr[0] = 1.0
         with pytest.raises(ValueError):
             s.mean += 1.0
-
-    def test_shared_statistics_match_direct_computation(self):
-        s = make_sample(seed=3, n=11, theta=(1.5, 0, 0, 0, 0))
-        n1, m1, m2 = s.split_means
-        assert n1 == 6
-        assert np.array_equal(m1, s.rows[:6].mean(axis=0))
-        assert np.array_equal(m2, s.rows[6:].mean(axis=0))
-        assert np.array_equal(s.null_projection, mb.project_to_null(s.rows.mean(axis=0)))
 
     def test_split_needs_two_rows(self):
         s = mb.MvnSample(np.zeros((1, 5)))
@@ -209,19 +229,19 @@ SCALAR_TESTS = {
 }
 
 
-def scalar_decisions(stack, methods, alpha):
-    return [
-        np.array([SCALAR_TESTS[m](mb.MvnSample(rows), alpha).reject for rows in stack])
-        for m in methods
-    ]
+def assert_batch_matches_reference(stack, alpha, methods=mb.BATCH_METHODS):
+    """decide_batch against the per-point references.
 
-
-def assert_batch_matches_scalar(stack, alpha, methods=mb.BATCH_METHODS):
+    Every decision must also equal the one-row call of the per-sample test
+    on that sample alone.
+    """
     batch = mb.decide_batch(stack, methods, alpha)
     assert len(batch) == len(methods)
-    for got, want in zip(batch, scalar_decisions(stack, methods, alpha)):
+    for got, want, method in zip(batch, reference_decisions(stack, methods, alpha), methods):
         assert got.dtype == bool and got.shape == (len(stack),)
         assert np.array_equal(got, want)
+        one_row = [SCALAR_TESTS[method](mb.MvnSample(rows), alpha).reject for rows in stack]
+        assert got.tolist() == one_row
 
 
 def ball_stack(seed, count, n, theta):
@@ -235,11 +255,11 @@ class TestDecideBatch:
     def test_matches_scalar_tests(self, n, theta):
         stack = ball_stack(n, 40, n, theta)
         for alpha in (0.01, 0.05, 0.2, 1.0):
-            assert_batch_matches_scalar(stack, alpha)
+            assert_batch_matches_reference(stack, alpha)
 
     def test_n_one_pointwise_only(self):
         stack = ball_stack(1, 50, 1, (1, 0, 0, 0, 0))
-        assert_batch_matches_scalar(stack, 0.05, ("pointwise",))
+        assert_batch_matches_reference(stack, 0.05, ("pointwise",))
         for method in ("split_lrt", "crossfit_lrt"):
             with pytest.raises(ValueError):
                 mb.decide_batch(stack, ("pointwise", method), 0.05)
@@ -255,7 +275,7 @@ class TestDecideBatch:
         ])
         assert np.linalg.norm(stack[2, 0, :3]) == 1.0
         for alpha in (0.05, 1.0):
-            assert_batch_matches_scalar(stack, alpha)
+            assert_batch_matches_reference(stack, alpha)
 
     def test_split_decisions_exactly_at_alpha(self):
         # alpha set to each sample's own e-value p-value: the strict rule
@@ -272,13 +292,17 @@ class TestDecideBatch:
                     assert mb.decide_batch(rows[None], (method,), alpha)[0][0] == want
 
     def test_statistics_match_per_sample_bit_for_bit(self):
+        # A sample's p-values do not depend on the stack around it: each
+        # row equals the one-row call on that sample alone.  The pointwise
+        # p-value also equals mvn_simple_p_value at the projection of the
+        # sample mean.
         stack = ball_stack(5, 200, 7, (1.0, 0.3, 0, 0.1, 0))
-        proj = mb._project_rows_to_null(stack.mean(axis=1))
-        log_u1, log_u2 = mb._split_log_ratio_rows(stack, proj)
+        p = mb._p_value_rows(stack, mb.BATCH_METHODS)
         for b, rows in enumerate(stack):
+            one_row = mb._p_value_rows(rows[None], mb.BATCH_METHODS)
+            assert [p[m][b] for m in mb.BATCH_METHODS] == [one_row[m][0] for m in mb.BATCH_METHODS]
             s = mb.MvnSample(rows)
-            assert np.array_equal(proj[b], s.null_projection)
-            assert (log_u1[b], log_u2[b]) == mb._split_log_ratios(s, s.null_projection)
+            assert p["pointwise"][b] == mb.mvn_simple_p_value(s, mb.project_to_null(s.mean))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_draws_raise(self, bad):
@@ -318,4 +342,4 @@ class TestDecideBatch:
     )
     def test_matches_scalar_tests_hypothesis(self, seed, count, n, head, tail, alpha):
         stack = ball_stack(seed, count, n, (head, 0.0, 0.0, tail, 0.0))
-        assert_batch_matches_scalar(stack, alpha)
+        assert_batch_matches_reference(stack, alpha)

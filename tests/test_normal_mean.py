@@ -83,6 +83,12 @@ class TestIntervalTest:
             with pytest.raises(ValueError, match="significance level must lie in"):
                 nm.interval_null_test(s, 0.0, 1.0, alpha)
 
+    def test_alpha_message_states_the_legal_set(self):
+        # 1 is legal, so 0.7 used to read "must lie in (0, 0.5)" wrongly.
+        with pytest.raises(ValueError) as err:
+            nm.interval_null_test(sample(), 0.0, 1.0, 0.7)
+        assert str(err.value) == "significance level must lie in (0, 0.5) or be 1, got 0.7"
+
 
 class TestBonferroni:
     def test_one_sided_split(self):

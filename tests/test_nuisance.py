@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pwreject.distributions import RngStream, f_quantile
+from pwreject.distributions import RngStream, chi2_quantile, f_quantile
 from pwreject.models import nuisance as nu
 from pwreject.regions import Region1D
 from pwreject.testing import pointwise_test
@@ -85,6 +85,22 @@ def regressor_rows(data, phis):
     return np.array([phi_t * data.x + phi_t * phi_t for phi_t in phis])
 
 
+def endpoints(y, g, thr):
+    """nu._endpoints of one dataset's regressor rows ``g`` (m, n), for that row."""
+    a = np.sum(g * g, axis=1)[None]
+    b = np.sum(y * g, axis=1)[None]
+    whole_line, lo, hi, curved = nu._endpoints(a, b, np.array([np.sum(y * y)]), np.array([thr]))
+    return whole_line[0], lo[0], hi[0], curved[0]
+
+
+def endpoint_region(y, g, thr):
+    """The Region1D that a region of one dataset builds from its endpoints."""
+    whole_line, lo, hi, curved = endpoints(y, g, thr)
+    if whole_line:
+        return Region1D([(-math.inf, math.inf)])
+    return Region1D(zip(lo[curved], hi[curved]))
+
+
 class TestAcceptanceInterval:
     def test_endpoints_match_grid_scan(self):
         data = make_data(seed=3, n=15)
@@ -93,9 +109,9 @@ class TestAcceptanceInterval:
         _, phi_hat = nu.fit_psi_phi(data)
         phis = (phi_hat - 0.2, phi_hat, phi_hat + 0.2)
         for g in regressor_rows(data, phis):
-            region = nu._accepted_psi(data.y, g[None, :], thr)
-            assert len(region.intervals) == 1
-            lo, hi = region.intervals[0]
+            whole_line, lo, hi, curved = endpoints(data.y, g[None, :], thr)
+            assert not whole_line and curved.tolist() == [True]
+            lo, hi = lo[0], hi[0]
             assert (lo, hi) == scalar_interval(data.y, g, thr)
             # Independent scan of the quadratic RSS over a fine psi grid.
             psis = np.linspace(lo - 1.0, hi + 1.0, 2000)
@@ -109,17 +125,16 @@ class TestAcceptanceInterval:
         data = nu.XYData([1.0, -0.5, 0.25], [0.1, -0.1, 0.0])
         # phi_t = 0 zeroes the regressor: acceptance is all-or-nothing.
         flat = regressor_rows(data, [0.0])
-        everything = nu._accepted_psi(data.y, flat, 1e9)
-        assert everything.contains(-1e8) and everything.contains(1e8)
-        assert not nu._accepted_psi(data.y, flat, 1e-9)
+        assert endpoint_region(data.y, flat, 1e9) == Region1D([(-math.inf, math.inf)])
+        assert not endpoint_region(data.y, flat, 1e-9)
         # Next to a curved row, a flat row that accepts everything swamps
         # it and one that accepts nothing leaves it unchanged.
         mixed = regressor_rows(data, [0.0, 1.0])
-        assert nu._accepted_psi(data.y, mixed, 1e9) == everything
+        assert endpoint_region(data.y, mixed, 1e9) == Region1D([(-math.inf, math.inf)])
         thr = 0.99 * float(np.sum(data.y**2))  # below the flat row's RSS
         lo_hi = scalar_interval(data.y, mixed[1], thr)
         assert isinstance(lo_hi, tuple)
-        assert nu._accepted_psi(data.y, mixed, thr) == Region1D([lo_hi])
+        assert endpoint_region(data.y, mixed, thr) == Region1D([lo_hi])
 
 
 class TestRegions:
@@ -225,16 +240,57 @@ ONE_CALL_ARGS = {
 
 @pytest.mark.parametrize("name", sorted(ONE_CALL_ARGS))
 def test_one_ols_fit_per_call(monkeypatch, name):
-    fit = nu.ols_line_fit
+    # Each per-dataset function fits its data once: one call of the row
+    # fit, on the dataset as a one-row stack.
+    fit = nu._proxy_rows
     calls = []
 
-    def counted(data):
-        calls.append(data)
-        return fit(data)
+    def counted(x, y, *args):
+        calls.append(x.shape)
+        return fit(x, y, *args)
 
-    monkeypatch.setattr(nu, "ols_line_fit", counted)
+    monkeypatch.setattr(nu, "_proxy_rows", counted)
     getattr(nu, name)(make_data(seed=4), *ONE_CALL_ARGS[name])
-    assert len(calls) == 1
+    assert calls == [(1, 30)]
+
+
+class TestLevelsAndDegenerateFits:
+    @pytest.mark.parametrize("fn", [nu.psi_region_F, nu.psi_region_LRT])
+    def test_regions_refuse_alpha_one(self, fn):
+        # A quantile at 1 - alpha has no alpha == 1 limit; the refusal
+        # names the level, not the probability 0 the caller never passed.
+        for alpha in (1.0, 1.5, 0.0):
+            with pytest.raises(ValueError, match=r"significance level must lie in \(0, 1\), got "):
+                fn(make_data(), alpha, 50)
+
+    def test_lrt_test_refuses_alpha_one(self):
+        with pytest.raises(ValueError, match=r"significance level must lie in \(0, 1\), got 1.0"):
+            nu.psi_lrt_test(make_data(), 1.0, 1.0, 100)
+
+    def test_pointwise_test_keeps_alpha_one(self):
+        dec = nu.psi_pointwise_test(make_data(), 1.0, 1.0, 100)
+        assert dec.alpha_prime_used == 1.0 and dec.reject
+
+    @pytest.mark.parametrize("mode, methods", [
+        ("coverage", ("pointwise",)), ("coverage", ("lrt",)), ("test", ("pointwise", "lrt")),
+    ])
+    def test_batch_refuses_alpha_one(self, mode, methods):
+        x, y = xy_stack(1, 3, 6)
+        with pytest.raises(ValueError, match=r"significance level must lie in \(0, 1\), got 1.0"):
+            nu.decide_batch(x, y, mode, methods, 1.0, 10, 1.0)
+        hits, _ = nu.decide_batch(x, y, "test", ("pointwise",), 1.0, 10, 1.0)
+        assert hits[0].tolist() == [True] * 3
+
+    @pytest.mark.parametrize("name", sorted(ONE_CALL_ARGS))
+    def test_degenerate_fit_messages(self, name):
+        constant = nu.XYData([1.0, 1.0, 1.0], [0.0, 1.0, 2.0])
+        singular = nu.XYData([-1.0, 0.0, 1.0], [-2.0, 0.5, 1.5])  # b0_hat == 0
+        fn = getattr(nu, name)
+        with pytest.raises(nu.DegenerateFitError, match="^covariate is constant$"):
+            fn(constant, *ONE_CALL_ARGS[name])
+        with pytest.raises(nu.DegenerateFitError,
+                           match="^OLS estimates give a singular reparameterization$"):
+            fn(singular, *ONE_CALL_ARGS[name])
 
 
 def xy_stack(seed, count, n, psi=1.0, phi=2.0, sigma=1.0):
@@ -253,23 +309,58 @@ SCALAR_DECISIONS = {
 }
 
 
-def assert_batch_matches_scalar(x, y, mode, alpha, m, psi, methods=nu.BATCH_METHODS):
-    """decide_batch against the per-dataset functions; returns the hits."""
+def reference_decision(data, mode, method, alpha, m, psi):
+    """One dataset's result from the per-point F statistics over the explicit proxy grid.
+
+    "pointwise": pointwise_test of H0: psi over the grid with
+    f_stat_p_value; a region contains psi where that test does not reject.
+    "lrt": n * log(RSS_null / RSS_alt) = n * log(1 + 2F / (n - 2)) at the
+    best grid point, against the chi-square cut-off (1 df for the test, 2
+    for the region).  A degenerate fit raises DegenerateFitError.
+    """
+    _, phi_hat = nu.fit_psi_phi(data)
+    _, _, rss_alt = nu.ols_line_fit(data)
+    width = nu.REGION_WIDTH if mode == "coverage" else nu.TEST_WIDTH
+    grid = nu.proxy_phi_grid(phi_hat, data.n, m, width)
+    if method == "pointwise":
+        rejects = pointwise_test(
+            lambda phi_t: nu.f_stat_p_value(data, psi, phi_t, rss_alt), grid, nu.NULL_SPEC, alpha,
+        ).reject
+        return rejects if mode == "test" else not rejects
+    stat = min(data.n * math.log1p(2.0 * nu.f_stat(data, psi, phi_t, rss_alt) / (data.n - 2))
+               for phi_t in grid)
+    if mode == "test":
+        return stat >= chi2_quantile(1.0 - alpha, 1)
+    return stat <= chi2_quantile(1.0 - alpha, 2)
+
+
+def assert_batch_matches_reference(x, y, mode, alpha, m, psi, methods=nu.BATCH_METHODS):
+    """decide_batch against the per-point reference; returns the hits.
+
+    The hits must also equal the one-row calls of the per-dataset
+    functions on each dataset alone.
+    """
     hits, flagged = nu.decide_batch(x, y, mode, methods, alpha, m, psi)
-    want = [[] for _ in methods]
+    want, one_row = [[] for _ in methods], [[] for _ in methods]
     want_flagged = 0
     for x_row, y_row in zip(x, y):
         data = nu.XYData(x_row, y_row)
         try:
-            row = [SCALAR_DECISIONS[mode, name](data, alpha, m, psi) for name in methods]
+            row = [reference_decision(data, mode, name, alpha, m, psi) for name in methods]
         except nu.DegenerateFitError:
             want_flagged += 1
+            for name in methods:
+                with pytest.raises(nu.DegenerateFitError):
+                    SCALAR_DECISIONS[mode, name](data, alpha, m, psi)
             continue
         for column, value in zip(want, row):
             column.append(value)
+        for column, name in zip(one_row, methods):
+            column.append(SCALAR_DECISIONS[mode, name](data, alpha, m, psi))
     assert flagged == want_flagged
     assert [h.dtype for h in hits] == [np.dtype(bool)] * len(methods)
     assert [h.tolist() for h in hits] == want
+    assert [h.tolist() for h in hits] == one_row
     return hits
 
 
@@ -281,22 +372,21 @@ class TestDecideBatch:
         for psi, m in ((0.6, 7), (1.0, 50), (1.4, 100)):
             x, y = xy_stack(n, 40, n)
             for alpha in (0.05, 0.2):
-                hits = assert_batch_matches_scalar(x, y, mode, alpha, m, psi)
+                hits = assert_batch_matches_reference(x, y, mode, alpha, m, psi)
                 outcomes.update(np.concatenate(hits).tolist())
         assert outcomes == {True, False}
 
     def test_statistics_match_per_dataset_bit_for_bit(self):
+        # The row fit, grid and regressors against ols_line_fit,
+        # fit_psi_phi and proxy_phi_grid on each dataset.
         x, y = xy_stack(5, 60, 17)
-        b0, b1, rss_alt, degenerate = nu._line_fit_rows(x, y)
-        assert not degenerate.any()
-        grid = nu.proxy_phi_grid((b0 / b1)[:, None], 17, 9, nu.REGION_WIDTH)
-        g = nu._regressor_rows(grid, x)
+        flag, rss_alt, y_kept, g = nu._proxy_rows(x, y, 9, nu.REGION_WIDTH)
+        assert not flag.any() and np.array_equal(y_kept, y)
         for row, (x_row, y_row) in enumerate(zip(x, y)):
             data = nu.XYData(x_row, y_row)
-            assert (b0[row], b1[row], rss_alt[row]) == nu.ols_line_fit(data)
-            assert np.array_equal(grid[row], nu.proxy_phi_grid(
-                nu.fit_psi_phi(data)[1], 17, 9, nu.REGION_WIDTH))
-            assert np.array_equal(g[row], nu._proxy_regressors(data, 9, nu.REGION_WIDTH)[1])
+            assert rss_alt[row] == nu.ols_line_fit(data)[2]
+            grid = nu.proxy_phi_grid(nu.fit_psi_phi(data)[1], 17, 9, nu.REGION_WIDTH)
+            assert np.array_equal(g[row], np.outer(grid, x_row) + (grid * grid)[:, None])
 
     def test_membership_at_interval_endpoints(self):
         # psi exactly at an endpoint of the region is inside (closed
@@ -313,19 +403,22 @@ class TestDecideBatch:
 
     def test_flat_rows_match_region(self):
         # A zero regressor row (phi_t = 0) accepts every psi or none, alone
-        # or next to a curved row; the endpoint comparisons agree with the
-        # merged Region1D.
+        # or next to a curved row.  Membership read from the endpoints, as
+        # decide_batch reads it, and the Region1D built from them agree
+        # with the union of the per-row intervals of the scalar formula.
         data = nu.XYData([1.0, -0.5, 0.25], [0.1, -0.1, 0.0])
         c = float(np.sum(data.y**2))
         for phis in ([0.0], [0.0, 1.0], [1.0, 0.0, -0.5]):
             g = regressor_rows(data, phis)
-            a = np.sum(g * g, axis=1)[None]
-            b = np.sum(data.y * g, axis=1)[None]
             for thr in (1e9, 1e-9, 0.99 * c, c):
-                region = nu._accepted_psi(data.y, g, thr)
+                whole_line, lo, hi, curved = endpoints(data.y, g, thr)
+                region = endpoint_region(data.y, g, thr)
+                pieces = [scalar_interval(data.y, row, thr) for row in g]
                 for psi in (-1e8, -0.3, 0.0, 0.1, 0.5, 1e8):
-                    got = nu._contains(psi, a, b, np.array([c]), np.array([thr]))
-                    assert got.tolist() == [region.contains(psi)]
+                    want = any(p == "all" or (p is not None and p[0] <= psi <= p[1])
+                               for p in pieces)
+                    got = whole_line or (curved & (lo <= psi) & (psi <= hi)).any()
+                    assert got == region.contains(psi) == want
 
     @pytest.mark.parametrize("mode", ["coverage", "test"])
     def test_degenerate_rows_are_flagged(self, mode):
@@ -336,7 +429,7 @@ class TestDecideBatch:
         for row in (1, 2, 3):
             with pytest.raises(nu.DegenerateFitError):
                 nu.fit_psi_phi(nu.XYData(x[row], y[row]))
-        hits = assert_batch_matches_scalar(x, y, mode, 0.05, 20, 1.0)
+        hits = assert_batch_matches_reference(x, y, mode, 0.05, 20, 1.0)
         assert [len(h) for h in hits] == [2, 2]
         kept, flagged = nu.decide_batch(x[[0, 4]], y[[0, 4]], mode, nu.BATCH_METHODS, 0.05, 20, 1.0)
         assert flagged == 0
@@ -386,4 +479,4 @@ class TestDecideBatch:
         self, seed, count, n, psi_true, phi, sigma, mode, psi, alpha, m
     ):
         x, y = xy_stack(seed, count, n, psi_true, phi, sigma)
-        assert_batch_matches_scalar(x, y, mode, alpha, m, psi)
+        assert_batch_matches_reference(x, y, mode, alpha, m, psi)

@@ -6,7 +6,7 @@ import pytest
 
 from pwreject import simulation
 from pwreject.distributions import RngStream
-from pwreject.models import linear_or, mvn_ball, nuisance
+from pwreject.models import linear_or, nuisance
 from pwreject.simulation import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -15,6 +15,8 @@ from pwreject.simulation import (
     run_experiment,
     run_suite,
 )
+from test_linear_or import reference_decision
+from test_mvn_ball import reference_decisions
 
 
 def config(**overrides):
@@ -199,15 +201,12 @@ class TestBlocks:
                 methods=("pointwise", "split_lrt", "crossfit_lrt"))
 
     def test_ball_block_matches_per_replicate_scalar_tests(self):
+        # Each replicate decided on its own by the per-point references
+        # (test_mvn_ball.reference_decisions).
         cfg = config(replicates=40, n=6, **self.BALL)
-        tests = (mvn_ball.ball_pointwise_test, mvn_ball.split_lrt_test,
-                 mvn_ball.cross_fit_lrt_test)
-        counts = [0, 0, 0]
-        for r in range(cfg.replicates):
-            (draws,) = simulation._draw(cfg, RngStream(cfg.master_seed, r).generator)
-            sample = mvn_ball.MvnSample(draws)
-            for i, test in enumerate(tests):
-                counts[i] += test(sample, cfg.alpha).reject
+        draws = [simulation._draw(cfg, RngStream(cfg.master_seed, r).generator)[0]
+                 for r in range(cfg.replicates)]
+        counts = [int(d.sum()) for d in reference_decisions(draws, cfg.methods, cfg.alpha)]
         res = run_experiment(cfg)
         assert [res.rates[m] for m in cfg.methods] == [c / 40 for c in counts]
 
@@ -283,11 +282,13 @@ class TestBlocks:
     def test_or_null_block_matches_per_replicate_scalar_tests(self):
         cfg = config(model="or_null", truth=(0.3, 0.3), n=8, m=20, replicates=60,
                      methods=("pointwise",))
+        # Each replicate decided on its own by the lstsq reference
+        # (test_linear_or.reference_decision).
         rejects = 0
         for r in range(cfg.replicates):
             columns = simulation._draw(cfg, RngStream(cfg.master_seed, r).generator)
             data = linear_or.RegressionData(*columns)
-            rejects += linear_or.or_null_test(data, cfg.alpha, cfg.m // 2).reject
+            rejects += reference_decision(data, cfg.alpha, cfg.m // 2).reject
         assert 0 < rejects < cfg.replicates
         assert run_experiment(cfg).rates == {"pointwise": rejects / cfg.replicates}
 
