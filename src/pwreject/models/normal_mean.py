@@ -8,6 +8,7 @@ null is a full-dimensional manifold with boundary, d1 = d0 = 1).  The
 Bonferroni baseline splits alpha over the two one-sided tests.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -31,25 +32,33 @@ class DegenerateSampleError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class UnivariateSample:
+    """A 1-d sample of at least two values.
+
+    ``values`` is a private read-only copy of the caller's array, so the
+    mean and the standard deviation are computed once, on first use, and
+    stay valid.
+    """
+
     values: np.ndarray
 
     def __init__(self, values):
-        arr = np.asarray(values, dtype=float)
+        arr = np.array(values, dtype=float)
         if arr.ndim != 1 or arr.size < 2:
             raise ValueError("need a 1-d sample with at least two values")
         if not np.isfinite(arr).all():
             raise ValueError("sample values must be finite (no nan or inf)")
+        arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
     @property
     def n(self):
         return self.values.size
 
-    @property
+    @functools.cached_property
     def mean(self):
         return float(self.values.mean())
 
-    @property
+    @functools.cached_property
     def sd(self):
         return float(self.values.std(ddof=1))
 

@@ -58,6 +58,18 @@ class DegenerateFitError(ValueError):
 
 # Why a fit is degenerate, keyed by the flag ``_proxy_rows`` gives its row.
 _DEGENERATE = {1: "covariate is constant", 2: "OLS estimates give a singular reparameterization"}
+# Centring a constant covariate leaves rounding noise of up to a few eps of
+# its magnitude (about 3.1 eps seen for n up to 1e5), not exact zeros.
+_CONSTANT_RTOL = 16.0 * np.finfo(float).eps
+
+
+def _constant_covariate(x, sxx):
+    """Whether x, with centred sum of squares sxx, is constant up to rounding.
+
+    True when the root mean square of the centred values is within
+    ``_CONSTANT_RTOL`` of the largest |x|; along the last axis of ``x``.
+    """
+    return np.sqrt(sxx / x.shape[-1]) <= _CONSTANT_RTOL * np.max(np.abs(x), axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,7 +99,7 @@ def ols_line_fit(data):
     xbar = data.x.mean()
     ybar = data.y.mean()
     sxx = float(np.sum((data.x - xbar) ** 2))
-    if sxx == 0.0:
+    if _constant_covariate(data.x, sxx):
         raise DegenerateFitError(_DEGENERATE[1])
     b1 = float(np.sum((data.x - xbar) * (data.y - ybar)) / sxx)
     b0 = ybar - b1 * xbar
@@ -264,7 +276,7 @@ def _proxy_rows(x, y, m, width_mult):
     with np.errstate(divide="ignore", invalid="ignore"):
         b1 = np.sum(dx * (y - ybar[:, None]), axis=1) / sxx
         b0 = ybar - b1 * xbar
-    flag = np.where(sxx == 0.0, 1, np.where((b1 == 0.0) | (b0 == 0.0), 2, 0))
+    flag = np.where(_constant_covariate(x, sxx), 1, np.where((b1 == 0.0) | (b0 == 0.0), 2, 0))
     keep = flag == 0
     x, y, b0, b1 = x[keep], y[keep], b0[keep], b1[keep]
     rss_alt = np.sum((y - b0[:, None] - b1[:, None] * x) ** 2, axis=1)

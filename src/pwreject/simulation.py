@@ -4,13 +4,16 @@ Each replicate r draws its own RNG stream from (master_seed, r), generates
 one dataset under the configured truth, and applies every requested method
 to that same dataset.  Replicates are generated serially, in order, and
 decided in blocks of consecutive replicates along one path for every
-model: a block's data columns are stacked into (B, ...) arrays and handed
-to one decision call.  The ball, nuisance and or_null models decide the
-whole stack at once (:func:`pwreject.models.mvn_ball.decide_batch` on the
-(B, n, 5) draws, :func:`pwreject.models.nuisance.decide_batch` on the
-(B, n) x and y, :func:`pwreject.models.linear_or.decide_batch` on the
-(B, n) x1, x2 and y); the interval model decides it row by row with its
-per-sample tests.  A block's largest array holds at most about 4 MB: the
+model: each replicate's stream writes its standard normals straight into
+its row of (B, ...) noise arrays, the block's data columns are formed from
+them at once, and the stack is handed to one decision call.  The streams'
+seed words, and each setting's seed in a suite, come from the cached block
+hash of :mod:`pwreject.distributions`.  The ball, nuisance and or_null
+models decide the whole stack at once
+(:func:`pwreject.models.mvn_ball.decide_batch` on the (B, n, 5) draws,
+:func:`pwreject.models.nuisance.decide_batch` on the (B, n) x and y,
+:func:`pwreject.models.linear_or.decide_batch` on the (B, n) x1, x2 and
+y); the interval model decides it row by row with its per-sample tests.  A block's largest array holds at most about 4 MB: the
 (B, n, 5) draws, the nuisance model's (B, m, n) proxy regressors or the
 or_null model's (B, m / 2, n) boundary-arm residuals.  Aggregation is pure
 counting, so a seed fixes every rate bit for bit, whatever the block
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from pwreject.alpha_prime import _check_alpha, _check_level
-from pwreject.distributions import RngStream
+from pwreject.distributions import RngStream, _stream_seed_words
 from pwreject.models import linear_or, mvn_ball, normal_mean, nuisance
 from pwreject.models import MODEL_IDS
 
@@ -121,38 +124,58 @@ def margin_of_error(rate, count):
     return 1.96 * math.sqrt(rate * (1.0 - rate) / count)
 
 
-def _draw(config, g):
-    """One replicate's data columns, drawn from the generator ``g``.
+def _noise_shapes(config):
+    """Shapes of a replicate's standard-normal draws, in the order they are drawn."""
+    n = config.n
+    if config.model == "or_null":
+        return (n, 2), (n,)
+    if config.model == "nuisance":
+        return (n,), (n,)
+    if config.model == "ball":
+        return ((n, mvn_ball.DIM),)
+    return ((n,),)
+
+
+def _columns(config, noise):
+    """The data columns of stacked replicates, formed from their (B, ...) draws.
 
     (y,) for interval, (x1, x2, y) for or_null, (x, y) for nuisance and the
-    (n, 5) draws for ball; the noise has unit standard deviation.
+    (B, n, 5) draws for ball; each column is (B, n) otherwise.  The noise
+    has unit standard deviation.
     """
-    n = config.n
     if config.model == "interval":
-        return (config.truth[0] + g.standard_normal(n),)
+        return (config.truth[0] + noise[0],)
     if config.model == "or_null":
         b1, b2 = config.truth
-        x = g.standard_normal((n, 2))
-        eps = g.standard_normal(n)
-        return x[:, 0], x[:, 1], b1 * x[:, 0] + b2 * x[:, 1] + eps
+        x, eps = noise
+        x1 = np.ascontiguousarray(x[:, :, 0])
+        x2 = np.ascontiguousarray(x[:, :, 1])
+        return x1, x2, b1 * x1 + b2 * x2 + eps
     if config.model == "nuisance":
         psi, phi = config.truth
-        x = g.standard_normal(n)
-        eps = g.standard_normal(n)
+        x, eps = noise
         return x, psi * phi * x + psi * phi * phi + eps
-    return (np.asarray(config.truth, dtype=float) + g.standard_normal((n, mvn_ball.DIM)),)
+    return (np.asarray(config.truth, dtype=float) + noise[0],)
+
+
+def _draw(config, g):
+    """One replicate's data columns, drawn from the generator ``g``."""
+    noise = [g.standard_normal((1,) + shape) for shape in _noise_shapes(config)]
+    return tuple(column[0] for column in _columns(config, noise))
 
 
 def _stack(config, lo, size):
-    """The data columns of replicates lo .. lo + size - 1, each stacked as (size, ...)."""
-    columns = None
+    """The data columns of replicates lo .. lo + size - 1, each stacked as (size, ...).
+
+    Each replicate's stream writes its draws straight into its row of the
+    (size, ...) noise arrays; the columns are then formed once per block.
+    """
+    noise = [np.empty((size,) + shape) for shape in _noise_shapes(config)]
     for row in range(size):
-        drawn = _draw(config, RngStream(config.master_seed, lo + row).generator)
-        if columns is None:
-            columns = tuple(np.empty((size,) + column.shape) for column in drawn)
-        for stack, column in zip(columns, drawn):
-            stack[row] = column
-    return columns
+        g = RngStream(config.master_seed, lo + row).generator
+        for z in noise:
+            g.standard_normal(out=z[row])
+    return _columns(config, noise)
 
 
 def _decide(config, columns):
@@ -292,8 +315,8 @@ def _suite_configs(suite, scale):
 
 
 def _setting_seed(master_seed, index):
-    seq = np.random.SeedSequence(int(master_seed), spawn_key=(1_000_000 + index,))
-    return int(seq.generate_state(1, np.uint64)[0])
+    """First uint64 of SeedSequence(master_seed, spawn_key=(1_000_000 + index,))."""
+    return int(_stream_seed_words(int(master_seed), 1_000_000 + index)[0])
 
 
 CSV_COLUMNS = (

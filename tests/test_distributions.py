@@ -1,7 +1,9 @@
 """Distribution layer: closed forms, oracle agreement, roundtrips, errors."""
 
 import math
+import random
 
+import numpy as np
 import pytest
 
 import oracles
@@ -133,3 +135,72 @@ class TestRngStream:
         s = d.RngStream(7)
         assert isinstance(s.standard_normal(), float)
         assert d.RngStream(7, 2).standard_normal(5).shape == (5,)
+
+
+# Seeds below, at and above 2**32, 2**64 and 2**128 (more run-entropy words
+# than the pool holds), and 30 random ones of 1 to 256 bits.
+_rand = random.Random(13)
+SEEDS = [0, 1, 7, 2**32 - 1, 2**32, 2**63 + 12345, 2**64 - 1, 2**128 + 5, 2**200 + 17] + [
+    _rand.getrandbits(_rand.randint(1, 256)) for _ in range(30)]
+# Indices at the ends of a hashed block and past 2**32 and 2**64 (two and
+# three spawn-key words), and the block the harness takes setting seeds from.
+INDICES = [0, 1, 63, 64, 2999, 2**32 - 1, 2**32, 2**64 + 9] + list(range(1_000_000, 1_000_064))
+
+
+def seed_sequence_generator(seed, index):
+    """The stream RngStream reproduces: PCG64 seeded through a SeedSequence."""
+    seq = np.random.SeedSequence(seed, spawn_key=(index,))
+    return np.random.Generator(np.random.PCG64(seq))
+
+
+class TestStreamSeeding:
+    """The block hash against numpy's SeedSequence and PCG64.
+
+    The hash re-implements SeedSequence's arithmetic, so these fail loudly
+    if a numpy release changes that algorithm or the PCG64 seeding.
+    """
+
+    def test_seed_words_match_seed_sequence(self):
+        mismatches = [
+            (seed, index) for seed in SEEDS for index in INDICES
+            if not np.array_equal(
+                d._stream_seed_words(seed, index),
+                np.random.SeedSequence(seed, spawn_key=(index,)).generate_state(4, np.uint64))
+        ]
+        assert mismatches == []
+
+    @pytest.mark.parametrize("seed", SEEDS[:9] + SEEDS[-3:])
+    def test_draws_match_pcg64_seeded_by_seed_sequence(self, seed):
+        for index in INDICES[:8] + INDICES[8::21]:
+            ours = d.RngStream(seed, index).generator
+            ref = seed_sequence_generator(seed, index)
+            assert np.array_equal(ours.standard_normal((3, 5)), ref.standard_normal((3, 5)))
+            assert ours.bit_generator.state == ref.bit_generator.state
+
+    def test_cached_blocks_are_read_only(self):
+        words = d._stream_seed_words(11, 70)
+        block = d._seed_block(11, 1)
+        assert np.shares_memory(words, block)
+        for arr in (words, block):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+    def test_equal_streams_draw_independently(self):
+        a, b = d.RngStream(5, 130), d.RngStream(5, 130)
+        first = a.standard_normal(6)
+        a.standard_normal(50)
+        assert np.array_equal(b.standard_normal(6), first)
+        assert np.array_equal(d.RngStream(5, 130).standard_normal(6), first)
+
+    def test_seed_object_holds_only_the_pcg64_request(self):
+        seq = d.RngStream(3, 9).generator.bit_generator.seed_seq
+        assert not isinstance(seq, np.random.SeedSequence)
+        assert np.array_equal(seq.generate_state(4, np.uint64), d._stream_seed_words(3, 9))
+        for args in ((2, np.uint64), (4, np.uint32), (8,)):
+            with pytest.raises(ValueError, match="4 uint64 seed words"):
+                seq.generate_state(*args)
+
+    @pytest.mark.parametrize("seed, index", [(-1, 0), (3, -1), (-(2**70), 5), (0, -64)])
+    def test_negative_seed_or_index_raises(self, seed, index):
+        with pytest.raises(ValueError, match=">= 0"):
+            d.RngStream(seed, index)

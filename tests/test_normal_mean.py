@@ -90,6 +90,37 @@ class TestIntervalTest:
         assert str(err.value) == "significance level must lie in (0, 0.5) or be 1, got 0.7"
 
 
+class TestSampleIsolation:
+    @staticmethod
+    def results(s):
+        return (nm.interval_null_test(s, 0.0, 1.0, 0.05), nm.bonferroni_interval_test(s, 0.0, 1.0, 0.05),
+                nm.t_p_value(s, 0.4), nm.reject_region_halfwidth(s, 0.05))
+
+    def test_caller_array_changes_do_not_leak(self):
+        src = 1.3 + RngStream(4).standard_normal(9)
+        s = nm.UnivariateSample(src)
+        before = self.results(s)
+        src[:] = 100.0
+        assert self.results(s) == before
+        assert before == self.results(nm.UnivariateSample(s.values))
+        src[:] = -3.0
+        assert self.results(nm.UnivariateSample(1.3 + RngStream(4).standard_normal(9))) == before
+
+    def test_values_are_read_only(self):
+        s = sample()
+        with pytest.raises(ValueError):
+            s.values[0] = 1.0
+
+    def test_statistics_are_computed_once(self):
+        s = sample(n=11)
+        self.results(s)
+        # Cached on first use, with the values the direct reductions give.
+        assert vars(s)["mean"] == float(s.values.mean())
+        assert vars(s)["sd"] == float(s.values.std(ddof=1))
+        with pytest.raises(AttributeError):
+            s.mean = 0.0
+
+
 class TestBonferroni:
     def test_one_sided_split(self):
         s = sample(mu=2.0)

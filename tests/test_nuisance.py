@@ -293,6 +293,47 @@ class TestLevelsAndDegenerateFits:
             fn(singular, *ONE_CALL_ARGS[name])
 
 
+class TestConstantCovariate:
+    # A constant x whose mean does not round back to the value: centring
+    # leaves rounding noise, not zeros, and a slope fitted to that noise
+    # (5.33 for the first case) used to pass as a fit.
+    CASES = [(0.1, 3), (0.1, 7), (0.7, 3), (0.3, 50), (123.456, 5), (-4.1, 7), (2.9, 1000),
+             (1e-05, 1000)]
+
+    @staticmethod
+    def data(value, n):
+        x = np.full(n, value)
+        y = [0.3, 1.7, 2.2] if n == 3 else 1.0 + RngStream(n).standard_normal(n)
+        assert np.sum((x - x.mean()) ** 2) > 0.0  # not caught by sxx == 0
+        return nu.XYData(x, y)
+
+    @pytest.mark.parametrize("value, n", CASES)
+    def test_per_dataset_functions_raise(self, value, n):
+        data = self.data(value, n)
+        calls = [lambda: nu.ols_line_fit(data), lambda: nu.fit_psi_phi(data)] + [
+            lambda name=name: getattr(nu, name)(data, *ONE_CALL_ARGS[name])
+            for name in sorted(ONE_CALL_ARGS)]
+        for call in calls:
+            with pytest.raises(nu.DegenerateFitError, match="^covariate is constant$"):
+                call()
+
+    @pytest.mark.parametrize("mode", ["coverage", "test"])
+    def test_batch_flags_the_row(self, mode):
+        x, y = xy_stack(9, 4, 7)
+        x[2] = 0.1
+        hits, flagged = nu.decide_batch(x, y, mode, nu.BATCH_METHODS, 0.05, 20, 1.0)
+        kept, none_flagged = nu.decide_batch(x[[0, 1, 3]], y[[0, 1, 3]], mode, nu.BATCH_METHODS,
+                                             0.05, 20, 1.0)
+        assert flagged == 1 and none_flagged == 0
+        assert [h.tolist() for h in hits] == [h.tolist() for h in kept]
+
+    def test_small_but_real_spread_is_fitted(self):
+        # Relative spread 1e-10: far above rounding, so the fit stands.
+        x = 1.0 + 1e-10 * np.array([-1.0, 0.0, 1.0, 2.0])
+        b0, b1, _ = nu.ols_line_fit(nu.XYData(x, 3.0 + 2.0 * x))
+        assert b1 == pytest.approx(2.0, rel=1e-4)
+
+
 def xy_stack(seed, count, n, psi=1.0, phi=2.0, sigma=1.0):
     """(x, y) of ``count`` datasets drawn as the harness draws them."""
     g = RngStream(seed).generator

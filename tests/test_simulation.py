@@ -2,11 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from pwreject import simulation
 from pwreject.distributions import RngStream
-from pwreject.models import linear_or, nuisance
+from pwreject.models import linear_or, mvn_ball, nuisance
 from pwreject.simulation import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -15,6 +16,7 @@ from pwreject.simulation import (
     run_experiment,
     run_suite,
 )
+from test_distributions import seed_sequence_generator
 from test_linear_or import reference_decision
 from test_mvn_ball import reference_decisions
 
@@ -330,6 +332,65 @@ class TestBlocks:
         assert res.flagged_replicates == 5
         assert res.rates == {"pointwise": 1.0, "lrt": 0.0}
         assert res.margins["pointwise"] == 0.0
+
+
+def reference_draw(cfg, g):
+    """One replicate's data columns, drawn one array at a time from ``g``."""
+    n = cfg.n
+    if cfg.model == "interval":
+        return (cfg.truth[0] + g.standard_normal(n),)
+    if cfg.model == "or_null":
+        b1, b2 = cfg.truth
+        x = g.standard_normal((n, 2))
+        eps = g.standard_normal(n)
+        return x[:, 0], x[:, 1], b1 * x[:, 0] + b2 * x[:, 1] + eps
+    if cfg.model == "nuisance":
+        psi, phi = cfg.truth
+        x = g.standard_normal(n)
+        eps = g.standard_normal(n)
+        return x, psi * phi * x + psi * phi * phi + eps
+    return (np.asarray(cfg.truth, dtype=float) + g.standard_normal((n, mvn_ball.DIM)),)
+
+
+class TestStreams:
+    CONFIGS = {
+        "interval": config(truth=(0.7,), n=6),
+        "or_null": config(model="or_null", truth=(0.3, -1.2), n=7, m=10, methods=("pointwise",)),
+        "nuisance": config(model="nuisance", truth=(1.5, 2.5), n=5, m=10,
+                           methods=("pointwise", "lrt")),
+        "ball": config(n=4, **TestBlocks.BALL),
+    }
+
+    @pytest.mark.parametrize("model", sorted(CONFIGS))
+    @pytest.mark.parametrize("lo, size", [(0, 1), (60, 10), (1000, 64)])
+    def test_stack_matches_seed_sequence_streams(self, model, lo, size):
+        # Bit for bit the columns of a PCG64 stream per replicate, seeded
+        # through SeedSequence(master_seed, spawn_key=(r,)), across a
+        # 64-index block boundary too.
+        cfg = self.CONFIGS[model]
+        stacked = simulation._stack(cfg, lo, size)
+        rows = [reference_draw(cfg, seed_sequence_generator(cfg.master_seed, lo + r))
+                for r in range(size)]
+        assert len(stacked) == len(rows[0])
+        for column, reference in zip(stacked, zip(*rows)):
+            assert np.array_equal(column, np.stack(reference))
+            assert column.flags.c_contiguous
+
+    @pytest.mark.parametrize("model", sorted(CONFIGS))
+    def test_draw_is_the_one_replicate_stack(self, model):
+        cfg = self.CONFIGS[model]
+        for r in (0, 63, 64, 200):
+            drawn = simulation._draw(cfg, RngStream(cfg.master_seed, r).generator)
+            stacked = simulation._stack(cfg, r, 1)
+            assert [column.shape for column in drawn] == [column.shape[1:] for column in stacked]
+            assert all(np.array_equal(a, b[0]) for a, b in zip(drawn, stacked))
+
+    @pytest.mark.parametrize("master_seed", [0, 1, 7, 123, 2**32 + 3, 2**64 - 1, 2**130])
+    def test_setting_seed_is_the_seed_sequence_word(self, master_seed):
+        for index in (0, 1, 40, 63, 64, 99):
+            seq = np.random.SeedSequence(master_seed, spawn_key=(1_000_000 + index,))
+            assert simulation._setting_seed(master_seed, index) == int(
+                seq.generate_state(1, np.uint64)[0])
 
 
 class TestRunSuite:
