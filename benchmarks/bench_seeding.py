@@ -6,10 +6,10 @@ Two layers (ROADMAP layer 5), each timed two ways:
   hashed (``cold``: the block cache is cleared before each construction)
   and already hashed (``warm``), against the stream as it was built
   before, ``PCG64(SeedSequence(seed, spawn_key=(r,)))`` (``seedseq``);
-- ``simulation._stack`` for B replicates of each model at n = 5 and 1000:
-  the harness's block of data columns, cold and warm as above, against
-  the former path (one SeedSequence-seeded stream and one draw per
-  array per replicate, copied row by row into the stack).
+- ``simulation._stack`` for B replicates of one setting of each model at
+  n = 5 and 1000: the harness's block of data columns, cold and warm as
+  above, against the former path (one SeedSequence-seeded stream and one
+  draw per array per replicate, copied row by row into the stack).
 
 Both paths give the same columns bit for bit (checked here).  Each timing
 is the median of ``--repeats`` passes of ``--inner`` calls after one
@@ -115,14 +115,14 @@ def main(argv=None):
             for size in (2, 5, 8):
                 config = simulation.ExperimentConfig(n=n, replicates=size, alpha=0.05,
                                                      master_seed=seed, **kwargs)
-                ours = simulation._stack(config, 0, size)
+                ours = simulation._stack([config], 0, size)
                 reference = seedseq_stack(config, 0, size)
                 assert all(np.array_equal(a, b) for a, b in zip(ours, reference))
                 inner = max(1, args.inner // (size * (1 + n // 100)))
                 timed = {
                     "seedseq": lambda: seedseq_stack(config, 0, size),
-                    "cold": cold(lambda: simulation._stack(config, 0, size)),
-                    "warm": lambda: simulation._stack(config, 0, size),
+                    "cold": cold(lambda: simulation._stack([config], 0, size)),
+                    "warm": lambda: simulation._stack([config], 0, size),
                 }
                 row = {"model": model, "n": n, "B": size}
                 for key, fn in timed.items():

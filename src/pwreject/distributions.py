@@ -12,6 +12,7 @@ The draws are unchanged.
 """
 
 import functools
+import operator
 
 import numpy as np
 
@@ -246,8 +247,9 @@ class RngStream:
     """
 
     def __init__(self, master_seed, index=0):
-        self.master_seed = int(master_seed)
-        self.index = int(index)
+        # Integers only, as SeedSequence takes them: a float raises TypeError.
+        self.master_seed = operator.index(master_seed)
+        self.index = operator.index(index)
         words = _stream_seed_words(self.master_seed, self.index)
         self.generator = np.random.Generator(np.random.PCG64(_stream_seed_type()(words)))
 

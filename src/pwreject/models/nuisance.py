@@ -72,6 +72,23 @@ def _constant_covariate(x, sxx):
     return np.sqrt(sxx / x.shape[-1]) <= _CONSTANT_RTOL * np.max(np.abs(x), axis=-1)
 
 
+def _singular_fit(x, y, sxx, b0, b1):
+    """Whether the OLS slope b1 or intercept b0 is zero up to rounding.
+
+    Each is compared with ``_CONSTANT_RTOL`` times the largest |y|, the
+    size of the rounding in y's centred values and in its mean: b1 through
+    the root mean square of b1 * (x - mean x), as when y is constant, and
+    b0 after adding |b1| times the largest |x|, which bounds the other
+    term of b0 = mean y - b1 * mean x.  Along the last axis of ``x`` and
+    ``y``, with ``sxx`` the centred sum of squares of x.
+    """
+    tol = _CONSTANT_RTOL * np.abs(y).max(axis=-1)
+    abs_b1 = np.abs(b1)
+    slope_zero = abs_b1 * np.sqrt(sxx / x.shape[-1]) <= tol
+    intercept_zero = np.abs(b0) <= tol + _CONSTANT_RTOL * abs_b1 * np.abs(x).max(axis=-1)
+    return slope_zero | intercept_zero
+
+
 @dataclass(frozen=True, eq=False)
 class XYData:
     x: np.ndarray
@@ -110,7 +127,8 @@ def ols_line_fit(data):
 def fit_psi_phi(data):
     """MLEs (psi_hat, phi_hat) = (b1_hat**2 / b0_hat, b0_hat / b1_hat)."""
     b0, b1, _ = ols_line_fit(data)
-    if b1 == 0.0 or b0 == 0.0:
+    sxx = np.sum((data.x - data.x.mean()) ** 2)
+    if _singular_fit(data.x, data.y, sxx, b0, b1):
         raise DegenerateFitError(_DEGENERATE[2])
     return b1 * b1 / b0, b0 / b1
 
@@ -223,13 +241,13 @@ def decide_batch(x, y, mode, methods, alpha, m, psi):
     rejects H0: psi = ``psi``.  Each uses the per-dataset function's
     default proxy window and ``m`` proxy points.
 
-    Returns ``(hits, flagged)``: one bool array per method over the
-    datasets whose fit is not degenerate (constant x, b1_hat == 0 or
-    b0_hat == 0, where the per-dataset functions raise
-    :class:`DegenerateFitError`), in row order, and the number of the
-    others.  Entry for entry the hits equal the per-dataset results on
-    ``XYData(x[b], y[b])``, which are one-row calls of the same
-    ``_statistic_rows``.
+    Returns ``(hits, flagged)``: one bool array of length B per method,
+    and the bool array of length B that marks the datasets whose fit is
+    degenerate (constant x, or b1_hat or b0_hat zero up to rounding, where
+    the per-dataset functions raise :class:`DegenerateFitError`).  A
+    flagged row hits for no method; on every other row b the hits equal
+    the per-dataset results on ``XYData(x[b], y[b])``, which are one-row
+    calls of the same ``_statistic_rows``.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -255,52 +273,62 @@ def decide_batch(x, y, mode, methods, alpha, m, psi):
             else np.array(rows[name]) >= _lrt_cutoff(alpha)
             for name in methods
         ]
-    return hits, int(np.count_nonzero(flag))
+    kept = flag == 0
+    return [row_hits & kept for row_hits in hits], ~kept
 
 
 def _proxy_rows(x, y, m, width_mult):
     """The fit, the proxy grid and the regressors of each dataset of a (B, n) stack.
 
-    Returns ``(flag, rss_alt, y, g)``.  ``flag`` is 0 for a row whose fit
-    is not degenerate and otherwise keys its reason in ``_DEGENERATE``.
-    ``rss_alt``, ``y`` and the (B', m, n) regressors g[b, t] = phi_t *
-    x[b] + phi_t**2 cover the B' other rows in order.  The fit rounds as
-    ``ols_line_fit`` does on one dataset.
+    Returns ``(flag, rss_alt, g)``, with ``rss_alt`` (B,) and the (B, m, n)
+    regressors g[b, t] = phi_t * x[b] + phi_t**2.  ``flag`` is 0 for a row
+    whose fit is not degenerate and otherwise keys its reason in
+    ``_DEGENERATE``; such a row is fitted as the line 1 + x, so that every
+    value stays finite, and what is computed from it means nothing.  The
+    fit rounds as ``ols_line_fit`` does on one dataset.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    xbar = x.mean(axis=1)
-    ybar = y.mean(axis=1)
+    # Sums divided by n round as the means and sums of ols_line_fit do.
+    n = x.shape[1]
+    xbar = x.sum(axis=1) / n
+    ybar = y.sum(axis=1) / n
     dx = x - xbar[:, None]
-    sxx = np.sum(dx**2, axis=1)
+    sxx = (dx * dx).sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        b1 = np.sum(dx * (y - ybar[:, None]), axis=1) / sxx
+        b1 = (dx * (y - ybar[:, None])).sum(axis=1) / sxx
         b0 = ybar - b1 * xbar
-    flag = np.where(_constant_covariate(x, sxx), 1, np.where((b1 == 0.0) | (b0 == 0.0), 2, 0))
-    keep = flag == 0
-    x, y, b0, b1 = x[keep], y[keep], b0[keep], b1[keep]
-    rss_alt = np.sum((y - b0[:, None] - b1[:, None] * x) ** 2, axis=1)
-    grid = proxy_phi_grid((b0 / b1)[:, None], x.shape[1], m, width_mult)
-    g = grid[:, :, None] * x[:, None, :] + (grid * grid)[:, :, None]
-    return flag, rss_alt, y, g
+    flag = np.where(_constant_covariate(x, sxx), 1,
+                    np.where(_singular_fit(x, y, sxx, b0, b1), 2, 0))
+    b0, b1 = np.where(flag == 0, b0, 1.0), np.where(flag == 0, b1, 1.0)
+    residuals = y - b0[:, None] - b1[:, None] * x
+    rss_alt = (residuals * residuals).sum(axis=1)
+    grid = proxy_phi_grid((b0 / b1)[:, None], n, m, width_mult)
+    g = grid[:, :, None] * x[:, None, :]
+    g += (grid * grid)[:, :, None]
+    return flag, rss_alt, g
 
 
 def _statistic_rows(x, y, mode, methods, psi0, alpha, m, width_mult):
     """What the named methods compute on each dataset of a (B, n) stack.
 
     Returns ``(flag, out)`` with ``flag`` from ``_proxy_rows`` and, per
-    name in ``methods``, its values over the rows whose fit is not
-    degenerate.  In ``mode`` "test", for H0: psi = psi0 at the smallest
+    name in ``methods``, its values per row; those of a flagged row mean
+    nothing.  In ``mode`` "test", for H0: psi = psi0 at the smallest
     RSS_null over the proxy grid: a list of max p-values for "pointwise"
     and of n * log(RSS_null / RSS_alt) for "lrt", per dataset on the scalar
     ``f_cdf`` and ``math.log``.  In ``mode`` "coverage": the
     ``_endpoints`` of the method's region, with RSS_null(psi0, phi_t) =
     a*psi0**2 - 2*b*psi0 + c at each proxy point.
     """
-    flag, rss_alt, y, g = _proxy_rows(x, y, m, width_mult)
+    flag, rss_alt, g = _proxy_rows(x, y, m, width_mult)
     n = y.shape[1]
     if mode == "test":
-        min_rss_null = np.sum((y[:, None, :] - psi0 * g) ** 2, axis=2).min(axis=1)
+        # The null residuals y - psi0 * g and their squares, formed in g's buffer.
+        g *= psi0
+        np.subtract(y[:, None, :], g, out=g)
+        g *= g
+        min_rss_null = g.sum(axis=2).min(axis=1)
         pairs = list(zip(min_rss_null.tolist(), rss_alt.tolist()))
         stat = {"pointwise": lambda r_null, r_alt: _f_p_value(_f_from_rss(r_null, r_alt, n), n),
                 "lrt": lambda r_null, r_alt: _lrt_stat(r_null, r_alt, n)}

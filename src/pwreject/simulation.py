@@ -1,26 +1,34 @@
 """Seeded Monte Carlo harness for rejection-rate and coverage studies.
 
-Each replicate r draws its own RNG stream from (master_seed, r), generates
-one dataset under the configured truth, and applies every requested method
-to that same dataset.  Replicates are generated serially, in order, and
-decided in blocks of consecutive replicates along one path for every
-model: each replicate's stream writes its standard normals straight into
-its row of (B, ...) noise arrays, the block's data columns are formed from
-them at once, and the stack is handed to one decision call.  The streams'
-seed words, and each setting's seed in a suite, come from the cached block
-hash of :mod:`pwreject.distributions`.  The ball, nuisance and or_null
-models decide the whole stack at once
+Each replicate r of a setting draws its own RNG stream from (the setting's
+master_seed, r), generates one dataset under the setting's truth, and
+applies every requested method to that same dataset.  A setting's
+decisions depend only on its **decision key** (``_decision_key``): the
+model, n, m, methods and alpha, and for the nuisance model also the mode
+(test or coverage) and the psi it reads (psi0 when testing, the true psi
+for coverage).  ``run_suite`` runs the settings that share a key as one
+group: their replicates form one sequence of rows, setting after setting,
+generated serially and decided in blocks of consecutive rows that may span
+settings; ``run_experiment`` is the group of one setting.  Every model
+takes one path: each row's stream writes its standard normals straight
+into its row of (B, ...) noise arrays, the block's data columns are formed
+from them at once with each row's truth, and the stack is handed to one
+decision call.  The streams' seed words, and each setting's seed in a
+suite, come from the cached block hash of :mod:`pwreject.distributions`.
+The ball, nuisance and or_null models decide the whole stack at once
 (:func:`pwreject.models.mvn_ball.decide_batch` on the (B, n, 5) draws,
 :func:`pwreject.models.nuisance.decide_batch` on the (B, n) x and y,
 :func:`pwreject.models.linear_or.decide_batch` on the (B, n) x1, x2 and
-y); the interval model decides it row by row with its per-sample tests.  A block's largest array holds at most about 4 MB: the
-(B, n, 5) draws, the nuisance model's (B, m, n) proxy regressors or the
-or_null model's (B, m / 2, n) boundary-arm residuals.  Aggregation is pure
-counting, so a seed fixes every rate bit for bit, whatever the block
-length.
+y); the interval model decides it row by row with its per-sample tests.
+A block's largest array holds at most about 4 MB: the (B, n, 5) draws,
+the nuisance model's (B, m, n) proxy regressors or the or_null model's
+(B, m / 2, n) boundary-arm residuals.  The hits are aligned with the rows,
+and each setting's rates are counts over its own slice of them, so a seed
+fixes every rate bit for bit, whatever the block length or the group.
 """
 
 import math
+import operator
 import time
 from dataclasses import dataclass
 
@@ -69,6 +77,10 @@ class ExperimentConfig:
     psi0: float = 1.0  # tested psi value for the nuisance model
 
     def __post_init__(self):
+        try:
+            operator.index(self.master_seed)
+        except TypeError:
+            raise TypeError("master_seed must be an integer, got %r" % (self.master_seed,)) from None
         if self.model not in MODEL_IDS:
             raise ValueError("unknown model %r" % (self.model,))
         if self.mode not in MODES:
@@ -112,6 +124,14 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ExperimentResult:
+    """Per-method rates and margins of one setting.
+
+    ``flagged_replicates`` counts the replicates flagged as degenerate,
+    which count for no method.  ``wall_time`` is the seconds the setting
+    took; a setting run in a group (``run_suite``) reports its share of the
+    group's time, in proportion to its replicates.
+    """
+
     config: ExperimentConfig
     rates: dict
     margins: dict
@@ -136,67 +156,118 @@ def _noise_shapes(config):
     return ((n,),)
 
 
-def _columns(config, noise):
+def _columns(model, truth, noise):
     """The data columns of stacked replicates, formed from their (B, ...) draws.
 
-    (y,) for interval, (x1, x2, y) for or_null, (x, y) for nuisance and the
-    (B, n, 5) draws for ball; each column is (B, n) otherwise.  The noise
-    has unit standard deviation.
+    Each parameter in ``truth`` is a float, or a (B, 1) column when the rows
+    have different truths (``_row_truth``).  Returns (y,) for interval,
+    (x1, x2, y) for or_null, (x, y) for nuisance and the (B, n, 5) draws
+    for ball; each column is (B, n) otherwise.  The noise has unit standard
+    deviation.
     """
-    if config.model == "interval":
-        return (config.truth[0] + noise[0],)
-    if config.model == "or_null":
-        b1, b2 = config.truth
+    if model == "interval":
+        return (truth[0] + noise[0],)
+    if model == "or_null":
+        b1, b2 = truth
         x, eps = noise
         x1 = np.ascontiguousarray(x[:, :, 0])
         x2 = np.ascontiguousarray(x[:, :, 1])
         return x1, x2, b1 * x1 + b2 * x2 + eps
-    if config.model == "nuisance":
-        psi, phi = config.truth
+    if model == "nuisance":
+        psi, phi = truth
         x, eps = noise
         return x, psi * phi * x + psi * phi * phi + eps
-    return (np.asarray(config.truth, dtype=float) + noise[0],)
+    # (5,) for one truth, (5, B, 1) for columns; either way a (B or 1, 1, 5) mean.
+    return (np.asarray(truth, dtype=float).T.reshape(-1, 1, mvn_ball.DIM) + noise[0],)
 
 
 def _draw(config, g):
     """One replicate's data columns, drawn from the generator ``g``."""
     noise = [g.standard_normal((1,) + shape) for shape in _noise_shapes(config)]
-    return tuple(column[0] for column in _columns(config, noise))
+    return tuple(column[0] for column in _columns(config.model, config.truth, noise))
 
 
-def _stack(config, lo, size):
-    """The data columns of replicates lo .. lo + size - 1, each stacked as (size, ...).
+def _spans(configs, lo, hi):
+    """(config, first, last) for each setting with replicates in rows lo .. hi - 1.
 
-    Each replicate's stream writes its draws straight into its row of the
-    (size, ...) noise arrays; the columns are then formed once per block.
+    A group's rows are its settings' replicates, setting after setting;
+    rows lo .. hi - 1 hold replicates first .. last - 1 of each such setting.
     """
-    noise = [np.empty((size,) + shape) for shape in _noise_shapes(config)]
-    for row in range(size):
-        g = RngStream(config.master_seed, lo + row).generator
-        for z in noise:
-            g.standard_normal(out=z[row])
-    return _columns(config, noise)
+    start = 0
+    for config in configs:
+        first, last = max(lo - start, 0), min(hi - start, config.replicates)
+        if first < last:
+            yield config, first, last
+        start += config.replicates
+
+
+def _row_truth(spans):
+    """The truth of stacked rows, as ``_columns`` takes it.
+
+    The rows of one setting share its truth tuple; otherwise each parameter
+    is a (B, 1) column, setting by setting.
+    """
+    if len(spans) == 1:
+        return spans[0][0].truth
+    rows = [last - first for _, first, last in spans]
+    return tuple(np.repeat(p, rows)[:, None] for p in zip(*(c.truth for c, _, _ in spans)))
+
+
+def _stack(configs, lo, size):
+    """The data columns of rows lo .. lo + size - 1 of a group, each stacked as (size, ...).
+
+    Each row's stream, ``RngStream(seed, r)`` of its own setting, writes its
+    draws straight into its row of the (size, ...) noise arrays; the columns
+    are then formed once per block, from each row's truth.
+    """
+    noise = [np.empty((size,) + shape) for shape in _noise_shapes(configs[0])]
+    spans = list(_spans(configs, lo, lo + size))
+    row = 0
+    for config, first, last in spans:
+        for r in range(first, last):
+            g = RngStream(config.master_seed, r).generator
+            for z in noise:
+                g.standard_normal(out=z[row])
+            row += 1
+    return _columns(configs[0].model, _row_truth(spans), noise)
+
+
+def _nuisance_target(config):
+    """The ``nuisance.decide_batch`` mode of a nuisance setting, and the psi it reads."""
+    if config.mode == "coverage":
+        return "coverage", config.truth[0]
+    return "test", config.psi0
+
+
+def _decision_key(config):
+    """Everything of a setting that enters its decisions.
+
+    Settings with equal keys differ only in their truth, seed and replicate
+    count, so their replicates are decided along one sequence of blocks.
+    """
+    key = (config.model, config.n, config.m, config.methods, config.alpha)
+    if config.model == "nuisance":
+        key += _nuisance_target(config)
+    return key
 
 
 def _decide(config, columns):
     """(hits, flagged) for one block of stacked data columns.
 
-    ``hits`` holds one bool sequence per method over the replicates that no
-    method flagged as degenerate; ``flagged`` counts the others, whose
-    results count for no method.  Only the nuisance model flags.
+    ``hits`` holds one bool sequence per method, aligned with the rows.
+    ``flagged`` marks the rows that a method flagged as degenerate, which
+    hit for no method; only the nuisance model flags, so it is a scalar
+    False for the others.
     """
     methods, alpha = config.methods, config.alpha
     if config.model == "ball":
-        return mvn_ball.decide_batch(columns[0], methods, alpha), 0
+        return mvn_ball.decide_batch(columns[0], methods, alpha), False
     if config.model == "nuisance":
-        if config.mode == "coverage":
-            mode, psi = "coverage", config.truth[0]
-        else:
-            mode, psi = "test", config.psi0
+        mode, psi = _nuisance_target(config)
         return nuisance.decide_batch(*columns, mode, methods, alpha, config.m, psi)
     if config.model == "or_null":
         # or_null has one method, the pointwise test.
-        return [linear_or.decide_batch(*columns, alpha, config.m // 2)], 0
+        return [linear_or.decide_batch(*columns, alpha, config.m // 2)], False
     # The interval null is [a, b] = [0, 1].
     tests = {
         "pointwise": lambda d: normal_mean.interval_null_test(d, 0.0, 1.0, alpha),
@@ -204,11 +275,11 @@ def _decide(config, columns):
     }
     fns = [tests[method] for method in methods]
     datasets = map(normal_mean.UnivariateSample, columns[0])
-    return list(zip(*([fn(d).reject for fn in fns] for d in datasets))), 0
+    return list(zip(*([fn(d).reject for fn in fns] for d in datasets))), False
 
 
 def _block_length(config):
-    """Replicates per block, so that the block's largest array fits _BLOCK_FLOATS.
+    """Rows per block, so that the block's largest array fits _BLOCK_FLOATS.
 
     That array is the (B, m, n) proxy regressor tensor for the nuisance
     model, each (B, m / 2, n) boundary-arm residual tensor for the or_null
@@ -224,26 +295,41 @@ def _block_length(config):
     return max(1, _BLOCK_FLOATS // per_replicate)
 
 
+def _run_settings(configs):
+    """Run settings that share a decision key; returns their results in order.
+
+    Their replicates are the rows of one sequence, setting after setting,
+    decided in blocks that may span settings; each setting's counts are
+    read from its slice of the row-aligned hits.
+    """
+    start_time = time.perf_counter()
+    key = configs[0]
+    total = sum(config.replicates for config in configs)
+    block = _block_length(key)
+    hits = np.empty((len(key.methods), total), dtype=bool)
+    flagged = np.empty(total, dtype=bool)
+    for lo in range(0, total, block):
+        hi = min(lo + block, total)
+        hits[:, lo:hi], flagged[lo:hi] = _decide(key, _stack(configs, lo, hi - lo))
+    wall_time = time.perf_counter() - start_time
+    results, lo = [], 0
+    for config in configs:
+        hi = lo + config.replicates
+        effective = config.replicates - int(np.count_nonzero(flagged[lo:hi]))
+        if effective < 1:
+            raise RuntimeError("all replicates were flagged as degenerate")
+        rates = {m: int(np.count_nonzero(hits[i, lo:hi])) / effective
+                 for i, m in enumerate(config.methods)}
+        margins = {m: margin_of_error(rates[m], effective) for m in config.methods}
+        results.append(ExperimentResult(config, rates, margins, config.replicates - effective,
+                                        wall_time * config.replicates / total))
+        lo = hi
+    return results
+
+
 def run_experiment(config):
     """Run one Monte Carlo experiment; returns per-method rates and margins."""
-    start_time = time.perf_counter()
-    block = _block_length(config)
-    counts = [0] * len(config.methods)
-    flagged = 0
-    for lo in range(0, config.replicates, block):
-        size = min(block, config.replicates - lo)
-        hits, block_flagged = _decide(config, _stack(config, lo, size))
-        for i, method_hits in enumerate(hits):
-            counts[i] += int(np.count_nonzero(method_hits))
-        flagged += block_flagged
-    effective = config.replicates - flagged
-    if effective < 1:
-        raise RuntimeError("all replicates were flagged as degenerate")
-    rates = {m: counts[i] / effective for i, m in enumerate(config.methods)}
-    margins = {m: margin_of_error(rates[m], effective) for m in config.methods}
-    return ExperimentResult(
-        config, rates, margins, flagged, time.perf_counter() - start_time
-    )
+    return _run_settings([config])[0]
 
 
 # --- suite definitions ----------------------------------------------------
@@ -316,7 +402,7 @@ def _suite_configs(suite, scale):
 
 def _setting_seed(master_seed, index):
     """First uint64 of SeedSequence(master_seed, spawn_key=(1_000_000 + index,))."""
-    return int(_stream_seed_words(int(master_seed), 1_000_000 + index)[0])
+    return int(_stream_seed_words(operator.index(master_seed), 1_000_000 + index)[0])
 
 
 CSV_COLUMNS = (
@@ -325,23 +411,40 @@ CSV_COLUMNS = (
 )
 
 
+def _suite_rows(suite, result):
+    """The CSV rows of one setting's result in a suite, one per method."""
+    config = result.config
+    return [{
+        "suite": suite,
+        "model": config.model,
+        "truth": "/".join(repr(t) for t in config.truth),
+        "n": config.n,
+        "m": config.m,
+        "method": method,
+        "rate": repr(result.rates[method]),
+        "margin": repr(result.margins[method]),
+        "replicates": config.replicates - result.flagged_replicates,
+        "seed": config.master_seed,
+    } for method in config.methods]
+
+
+def _suite_settings(suite, master_seed, scale):
+    """The ExperimentConfig of every setting of a suite, each with its own seed."""
+    return [ExperimentConfig(master_seed=_setting_seed(master_seed, idx), **kwargs)
+            for idx, kwargs in enumerate(_suite_configs(suite, scale))]
+
+
 def run_suite(suite, master_seed, scale=1.0):
-    """Run every setting of a named suite; yields one row dict per method."""
-    rows = []
-    for idx, kwargs in enumerate(_suite_configs(suite, scale)):
-        config = ExperimentConfig(master_seed=_setting_seed(master_seed, idx), **kwargs)
-        result = run_experiment(config)
-        for method in config.methods:
-            rows.append({
-                "suite": suite,
-                "model": config.model,
-                "truth": "/".join(repr(t) for t in config.truth),
-                "n": config.n,
-                "m": config.m,
-                "method": method,
-                "rate": repr(result.rates[method]),
-                "margin": repr(result.margins[method]),
-                "replicates": config.replicates - result.flagged_replicates,
-                "seed": config.master_seed,
-            })
-    return rows
+    """Run every setting of a named suite; returns one row dict per method.
+
+    Settings that share a decision key (``_decision_key``) run as one group.
+    """
+    configs = _suite_settings(suite, master_seed, scale)
+    groups = {}
+    for idx, config in enumerate(configs):
+        groups.setdefault(_decision_key(config), []).append(idx)
+    results = [None] * len(configs)
+    for members in groups.values():
+        for idx, result in zip(members, _run_settings([configs[i] for i in members])):
+            results[idx] = result
+    return [row for result in results for row in _suite_rows(suite, result)]

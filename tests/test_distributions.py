@@ -204,3 +204,17 @@ class TestStreamSeeding:
     def test_negative_seed_or_index_raises(self, seed, index):
         with pytest.raises(ValueError, match=">= 0"):
             d.RngStream(seed, index)
+
+    @pytest.mark.parametrize("seed, index", [(2.7, 3), (2, 3.9), (2.0, 3), (2, 3.0), ("2", 3)])
+    def test_non_integer_seed_or_index_raises(self, seed, index):
+        # As SeedSequence refuses them; a float used to be truncated, so
+        # RngStream(2.7, 3.9) drew what RngStream(2, 3) draws.
+        with pytest.raises(TypeError):
+            d.RngStream(seed, index)
+
+    @pytest.mark.parametrize("seed, index", [(np.int64(2), np.uint32(3)), (np.uint64(2), 3)])
+    def test_numpy_integers_are_integers(self, seed, index):
+        want = d.RngStream(int(seed), int(index)).standard_normal(4)
+        stream = d.RngStream(seed, index)
+        assert type(stream.master_seed) is int and type(stream.index) is int
+        assert np.array_equal(stream.standard_normal(4), want)

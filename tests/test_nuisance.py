@@ -1,6 +1,7 @@
 """Nuisance-parameter regression: closed-form intervals vs grid-scan oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -293,6 +294,46 @@ class TestLevelsAndDegenerateFits:
             fn(singular, *ONE_CALL_ARGS[name])
 
 
+class TestSingularFit:
+    # A constant y, or a line through the origin, fitted with rounding
+    # noise: b1_hat or b0_hat is zero up to rounding but not exactly, and a
+    # region such as Region1D(intervals=()) used to pass as a result.
+    @staticmethod
+    def datasets(kind, count=150, n=None):
+        """``count`` datasets of the kind; n is drawn from 3 .. 59 unless given."""
+        rng = np.random.default_rng(2024)
+        for _ in range(count):
+            size = n or int(rng.integers(3, 60))
+            x = rng.standard_normal(size)
+            if kind == "constant y":
+                yield nu.XYData(x, np.full(size, rng.uniform(-10.0, 10.0)))
+            else:
+                x += rng.uniform(-3.0, 3.0)
+                yield nu.XYData(x, rng.uniform(0.1, 3.0) * x)
+
+    @pytest.mark.parametrize("kind", ["constant y", "through the origin"])
+    def test_per_dataset_functions_raise(self, kind):
+        for data in self.datasets(kind):
+            for call in (lambda: nu.fit_psi_phi(data), lambda: nu.psi_region_F(data, 0.05, 50)):
+                with pytest.raises(nu.DegenerateFitError,
+                                   match="^OLS estimates give a singular reparameterization$"):
+                    call()
+
+    @pytest.mark.parametrize("kind", ["constant y", "through the origin"])
+    def test_batch_flags_every_row(self, kind):
+        data = list(self.datasets(kind, 40, n=17))
+        x, y = np.stack([d.x for d in data]), np.stack([d.y for d in data])
+        for mode in ("coverage", "test"):
+            hits, flagged = nu.decide_batch(x, y, mode, nu.BATCH_METHODS, 0.05, 20, 1.0)
+            assert flagged.all() and not any(h.any() for h in hits)
+
+    def test_suite_data_is_far_from_singular(self):
+        # Noisy data keeps its fit: the relative test flags nothing here.
+        x, y = xy_stack(21, 400, 5)
+        _, flagged = nu.decide_batch(x, y, "test", nu.BATCH_METHODS, 0.05, 20, 1.0)
+        assert not flagged.any()
+
+
 class TestConstantCovariate:
     # A constant x whose mean does not round back to the value: centring
     # leaves rounding noise, not zeros, and a slope fitted to that noise
@@ -324,8 +365,9 @@ class TestConstantCovariate:
         hits, flagged = nu.decide_batch(x, y, mode, nu.BATCH_METHODS, 0.05, 20, 1.0)
         kept, none_flagged = nu.decide_batch(x[[0, 1, 3]], y[[0, 1, 3]], mode, nu.BATCH_METHODS,
                                              0.05, 20, 1.0)
-        assert flagged == 1 and none_flagged == 0
-        assert [h.tolist() for h in hits] == [h.tolist() for h in kept]
+        assert flagged.tolist() == [False, False, True, False] and not none_flagged.any()
+        assert [h[[0, 1, 3]].tolist() for h in hits] == [h.tolist() for h in kept]
+        assert not any(h[2] for h in hits)
 
     def test_small_but_real_spread_is_fitted(self):
         # Relative spread 1e-10: far above rounding, so the fit stands.
@@ -376,12 +418,17 @@ def reference_decision(data, mode, method, alpha, m, psi):
 
 
 def assert_batch_matches_reference(x, y, mode, alpha, m, psi, methods=nu.BATCH_METHODS):
-    """decide_batch against the per-point reference; returns the hits.
+    """decide_batch against the per-point reference; returns the hits of
+    the rows it does not flag.
 
     The hits must also equal the one-row calls of the per-dataset
-    functions on each dataset alone.
+    functions on each dataset alone, and a flagged row hits for no method.
     """
-    hits, flagged = nu.decide_batch(x, y, mode, methods, alpha, m, psi)
+    row_hits, flag = nu.decide_batch(x, y, mode, methods, alpha, m, psi)
+    assert flag.dtype == np.dtype(bool) and flag.shape == (len(x),)
+    assert [h.shape for h in row_hits] == [(len(x),)] * len(methods)
+    assert not any(h[flag].any() for h in row_hits)
+    hits, flagged = [h[~flag] for h in row_hits], int(np.count_nonzero(flag))
     want, one_row = [[] for _ in methods], [[] for _ in methods]
     want_flagged = 0
     for x_row, y_row in zip(x, y):
@@ -421,13 +468,27 @@ class TestDecideBatch:
         # The row fit, grid and regressors against ols_line_fit,
         # fit_psi_phi and proxy_phi_grid on each dataset.
         x, y = xy_stack(5, 60, 17)
-        flag, rss_alt, y_kept, g = nu._proxy_rows(x, y, 9, nu.REGION_WIDTH)
-        assert not flag.any() and np.array_equal(y_kept, y)
+        flag, rss_alt, g = nu._proxy_rows(x, y, 9, nu.REGION_WIDTH)
+        assert not flag.any()
         for row, (x_row, y_row) in enumerate(zip(x, y)):
             data = nu.XYData(x_row, y_row)
             assert rss_alt[row] == nu.ols_line_fit(data)[2]
             grid = nu.proxy_phi_grid(nu.fit_psi_phi(data)[1], 17, 9, nu.REGION_WIDTH)
             assert np.array_equal(g[row], np.outer(grid, x_row) + (grid * grid)[:, None])
+
+    def test_test_mode_keeps_one_regressor_tensor(self):
+        # A block of 75 datasets, m = 100, n = 10: the (B, m, n) regressors,
+        # the null residuals and their squares share one buffer, so the
+        # traced peak stays below two such tensors (it was over three).
+        x, y = xy_stack(4, 75, 10)
+        nu.decide_batch(x, y, "test", nu.BATCH_METHODS, 0.05, 100, 1.0)
+        tracemalloc.start()
+        try:
+            nu.decide_batch(x, y, "test", nu.BATCH_METHODS, 0.05, 100, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * x.size * 100 * 8
 
     def test_membership_at_interval_endpoints(self):
         # psi exactly at an endpoint of the region is inside (closed
@@ -473,10 +534,10 @@ class TestDecideBatch:
         hits = assert_batch_matches_reference(x, y, mode, 0.05, 20, 1.0)
         assert [len(h) for h in hits] == [2, 2]
         kept, flagged = nu.decide_batch(x[[0, 4]], y[[0, 4]], mode, nu.BATCH_METHODS, 0.05, 20, 1.0)
-        assert flagged == 0
+        assert not flagged.any()
         assert [h.tolist() for h in kept] == [h.tolist() for h in hits]
         everything, flagged = nu.decide_batch(x[1:4], y[1:4], mode, nu.BATCH_METHODS, 0.05, 20, 1.0)
-        assert flagged == 3 and [h.tolist() for h in everything] == [[], []]
+        assert flagged.all() and [h.tolist() for h in everything] == [[False] * 3] * 2
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_data_raise(self, bad):
@@ -501,7 +562,8 @@ class TestDecideBatch:
         ):
             with pytest.raises(ValueError):
                 nu.decide_batch(*args)
-        assert nu.decide_batch(x, y, "test", (), 0.05, 10, 1.0) == ([], 0)
+        hits, flagged = nu.decide_batch(x, y, "test", (), 0.05, 10, 1.0)
+        assert hits == [] and flagged.tolist() == [False, False]
 
     @settings(max_examples=60, deadline=None)
     @given(

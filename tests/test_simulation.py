@@ -1,5 +1,6 @@
 """Monte Carlo harness: determinism, aggregation, suite plumbing."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -76,6 +77,15 @@ class TestRunExperiment:
             m=20, replicates=100, methods=("pointwise",),
         ))
         assert pow_.rates["pointwise"] > 0.5  # psi0=1 is false here
+
+    @pytest.mark.parametrize("seed", [2.7, 3.0, "5", None])
+    def test_non_integer_seed_refused_at_construction(self, seed):
+        with pytest.raises(TypeError, match="master_seed must be an integer"):
+            config(master_seed=seed)
+
+    def test_numpy_integer_seed_draws_as_the_int(self):
+        a = run_experiment(config(master_seed=np.uint64(123)))
+        assert a.rates == run_experiment(config(master_seed=123)).rates
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -324,14 +334,102 @@ class TestBlocks:
         # denominator, so it must also leave method 0's numerator (the rate
         # was 10/5 = 2.0 when it did not).
         def flag_every_other(x, y, *args):
-            kept = len(x) // 2
-            return [[True] * kept, [False] * kept], len(x) - kept
+            flagged = np.arange(len(x)) % 2 == 1
+            return [~flagged, np.zeros(len(x), dtype=bool)], flagged
 
         monkeypatch.setattr(nuisance, "decide_batch", flag_every_other)
         res = run_experiment(config(mode="coverage", **self.NUISANCE))
         assert res.flagged_replicates == 5
         assert res.rates == {"pointwise": 1.0, "lrt": 0.0}
         assert res.margins["pointwise"] == 0.0
+
+
+def rows_setting_by_setting(suite, master_seed, scale):
+    """run_suite's rows, built from run_experiment on each setting alone."""
+    return [row for cfg in simulation._suite_settings(suite, master_seed, scale)
+            for row in simulation._suite_rows(suite, run_experiment(cfg))]
+
+
+def group(suite, scale, n, master_seed=5):
+    """The configs of a suite's settings at sample size n: one decision key."""
+    configs = [cfg for cfg in simulation._suite_settings(suite, master_seed, scale) if cfg.n == n]
+    assert len({simulation._decision_key(cfg) for cfg in configs}) == 1
+    return configs
+
+
+class TestGroups:
+    @pytest.mark.parametrize("suite", SUITE_IDS)
+    @pytest.mark.parametrize("master_seed, scale", [(3, 0.0005), (11, 0.002)])
+    def test_suite_rows_equal_setting_by_setting_rows(self, suite, master_seed, scale):
+        assert run_suite(suite, master_seed, scale) == rows_setting_by_setting(
+            suite, master_seed, scale)
+
+    @pytest.mark.parametrize("suite, n", [("fig4", 10), ("fig5", 5), ("fig2", 5)])
+    def test_blocks_across_settings_change_no_result(self, suite, n, monkeypatch):
+        configs = group(suite, 0.0005, n)  # 5 replicates per setting
+        alone = [run_experiment(cfg) for cfg in configs]
+        sizes = TestBlocks.spy_block_sizes(monkeypatch)
+        per_row = {"nuisance": configs[0].m * n}.get(configs[0].model, n * mvn_ball.DIM)
+        total = sum(cfg.replicates for cfg in configs)
+        # One block, then blocks of one row and of three: a 3-row block
+        # spans two settings.
+        for block in (total, 1, 3):
+            monkeypatch.setattr(simulation, "_BLOCK_FLOATS", block * per_row)
+            sizes.clear()
+            results = simulation._run_settings(configs)
+            whole, rest = divmod(total, block)
+            assert sizes == [block] * whole + [rest] * (rest > 0)
+            for got, want in zip(results, alone):
+                assert got.config == want.config
+                assert got.rates == want.rates and got.margins == want.margins
+                assert got.flagged_replicates == want.flagged_replicates
+
+    def test_flagged_rows_are_counted_per_setting(self, monkeypatch):
+        # One block of 12 rows over settings of 4, 3 and 5 replicates.
+        # Rows 1, 5, 6 and 11 are flagged: one in the first setting, two
+        # in the second and one in the last.  Method 0 hits every other
+        # row, method 1 only row 8.
+        flagged = np.isin(np.arange(12), [1, 5, 6, 11])
+
+        def fake(x, y, *args):
+            assert len(x) == 12
+            return [~flagged, np.arange(12) == 8], flagged
+
+        monkeypatch.setattr(nuisance, "decide_batch", fake)
+        base = dict(model="nuisance", mode="power", n=5, m=10, alpha=0.05,
+                    methods=("pointwise", "lrt"))
+        configs = [ExperimentConfig(truth=(psi, 2.0), replicates=r, master_seed=seed, **base)
+                   for psi, r, seed in ((0.5, 4, 1), (1.0, 3, 2), (1.5, 5, 3))]
+        results = simulation._run_settings(configs)
+        assert [r.flagged_replicates for r in results] == [1, 2, 1]
+        assert [r.rates for r in results] == [
+            {"pointwise": 1.0, "lrt": 0.0},
+            {"pointwise": 1.0, "lrt": 0.0},
+            {"pointwise": 1.0, "lrt": 0.25},
+        ]
+
+    @pytest.mark.parametrize("suite, module, calls", [
+        ("fig4", nuisance, 2), ("fig5", mvn_ball, 6), ("table1", linear_or, 10),
+    ])
+    def test_one_decision_call_per_group(self, suite, module, calls, monkeypatch):
+        seen = []
+        batch = module.decide_batch
+
+        def recorded(*args):
+            seen.append(len(args[0]))
+            return batch(*args)
+
+        monkeypatch.setattr(module, "decide_batch", recorded)
+        run_suite(suite, 4, 0.0005)
+        # Every replicate of the suite, 5 per setting, is decided once.
+        assert len(seen) == calls
+        assert sum(seen) == 5 * len(simulation._suite_configs(suite, 0.0005))
+
+    def test_wall_time_is_the_row_share_of_the_group(self):
+        configs = group("fig5", 0.0005, 30)
+        results = simulation._run_settings(configs)
+        times = [r.wall_time for r in results]
+        assert times[0] > 0 and times == [times[0]] * len(configs)
 
 
 def reference_draw(cfg, g):
@@ -353,12 +451,14 @@ def reference_draw(cfg, g):
 
 
 class TestStreams:
+    # Replicates enough for every stacked row below.
     CONFIGS = {
-        "interval": config(truth=(0.7,), n=6),
-        "or_null": config(model="or_null", truth=(0.3, -1.2), n=7, m=10, methods=("pointwise",)),
-        "nuisance": config(model="nuisance", truth=(1.5, 2.5), n=5, m=10,
+        "interval": config(truth=(0.7,), n=6, replicates=2000),
+        "or_null": config(model="or_null", truth=(0.3, -1.2), n=7, m=10, replicates=2000,
+                          methods=("pointwise",)),
+        "nuisance": config(model="nuisance", truth=(1.5, 2.5), n=5, m=10, replicates=2000,
                            methods=("pointwise", "lrt")),
-        "ball": config(n=4, **TestBlocks.BALL),
+        "ball": config(n=4, replicates=2000, **TestBlocks.BALL),
     }
 
     @pytest.mark.parametrize("model", sorted(CONFIGS))
@@ -368,7 +468,7 @@ class TestStreams:
         # through SeedSequence(master_seed, spawn_key=(r,)), across a
         # 64-index block boundary too.
         cfg = self.CONFIGS[model]
-        stacked = simulation._stack(cfg, lo, size)
+        stacked = simulation._stack([cfg], lo, size)
         rows = [reference_draw(cfg, seed_sequence_generator(cfg.master_seed, lo + r))
                 for r in range(size)]
         assert len(stacked) == len(rows[0])
@@ -381,9 +481,21 @@ class TestStreams:
         cfg = self.CONFIGS[model]
         for r in (0, 63, 64, 200):
             drawn = simulation._draw(cfg, RngStream(cfg.master_seed, r).generator)
-            stacked = simulation._stack(cfg, r, 1)
+            stacked = simulation._stack([cfg], r, 1)
             assert [column.shape for column in drawn] == [column.shape[1:] for column in stacked]
             assert all(np.array_equal(a, b[0]) for a, b in zip(drawn, stacked))
+
+    @pytest.mark.parametrize("model", sorted(CONFIGS))
+    def test_stack_across_settings_is_each_setting_stack(self, model):
+        # Rows 1 .. 5 of a group are replicates 1, 2 of the first setting
+        # and 0, 1, 2 of the second, each with its own truth and stream.
+        first = dataclasses.replace(self.CONFIGS[model], replicates=3)
+        truth = tuple(t + 0.5 for t in first.truth)
+        second = dataclasses.replace(first, truth=truth, master_seed=77, replicates=4)
+        grouped = simulation._stack([first, second], 1, 5)
+        alone = zip(simulation._stack([first], 1, 2), simulation._stack([second], 0, 3))
+        for column, (a, b) in zip(grouped, alone):
+            assert np.array_equal(column, np.concatenate([a, b]))
 
     @pytest.mark.parametrize("master_seed", [0, 1, 7, 123, 2**32 + 3, 2**64 - 1, 2**130])
     def test_setting_seed_is_the_seed_sequence_word(self, master_seed):
