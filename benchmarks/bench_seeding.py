@@ -34,13 +34,10 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 from pwreject import distributions, simulation  # noqa: E402
 
 CONFIGS = {
-    "interval": dict(model="interval", mode="type1", truth=(1.0,), m=0,
-                     methods=("pointwise", "bonferroni")),
-    "or_null": dict(model="or_null", mode="type1", truth=(1.0, 0.0), m=10, methods=("pointwise",)),
-    "nuisance": dict(model="nuisance", mode="coverage", truth=(1.0, 2.0), m=50,
-                     methods=("pointwise", "lrt")),
-    "ball": dict(model="ball", mode="type1", truth=(1.0, 0.0, 0.0, 0.0, 0.0), m=1,
-                 methods=("pointwise", "split_lrt", "crossfit_lrt")),
+    "interval": dict(model="interval", mode="type1", truth=(1.0,), m=0),
+    "or_null": dict(model="or_null", mode="type1", truth=(1.0, 0.0), m=10),
+    "nuisance": dict(model="nuisance", mode="coverage", truth=(1.0, 2.0), m=50),
+    "ball": dict(model="ball", mode="type1", truth=(1.0, 0.0, 0.0, 0.0, 0.0), m=1),
 }
 
 

@@ -86,6 +86,14 @@ def _max_interval_p(sample, a, b):
     return t_p_value(sample, nearest)
 
 
+def _check_interval(a, b):
+    """Refuse a nan endpoint or a > b; an infinite endpoint makes a half-line null."""
+    if math.isnan(a) or math.isnan(b):
+        raise ValueError("interval endpoints must not be nan, got [%r, %r]" % (a, b))
+    if a > b:
+        raise ValueError("interval endpoints out of order: a > b")
+
+
 def interval_null_test(sample, a, b, alpha):
     """Pointwise-rejection test of H0: mu in [a, b] in closed form.
 
@@ -93,8 +101,7 @@ def interval_null_test(sample, a, b, alpha):
     limit alpha' = 1, as in
     :func:`pwreject.alpha_prime.alpha_prime_with_boundary`.
     """
-    if a > b:
-        raise ValueError("interval endpoints out of order: a > b")
+    _check_interval(a, b)
     _check_level(alpha, 0.5)
     ap = 1.0 if alpha == 1.0 else 2.0 * alpha
     max_p = _max_interval_p(sample, a, b)
@@ -107,8 +114,7 @@ def bonferroni_interval_test(sample, a, b, alpha):
     The reported p-value is the smaller one-sided p, compared against
     alpha / 2 with the same tie-rejects convention.
     """
-    if a > b:
-        raise ValueError("interval endpoints out of order: a > b")
+    _check_interval(a, b)
     _check_level(alpha)
     se = _standard_error(sample)
     xbar = sample.mean

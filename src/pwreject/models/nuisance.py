@@ -158,6 +158,9 @@ def _f_p_value(f, n):
 
 def proxy_phi_grid(phi_hat, n, m, width_mult):
     """m midpoints of equal cells spanning phi_hat +- width_mult / sqrt(n)."""
+    if not 0.0 < width_mult < math.inf:
+        raise ValueError("the proxy window width must be positive and finite, got %r"
+                         % (width_mult,))
     w = width_mult / math.sqrt(n)
     return phi_hat - w + 2.0 * w * (np.arange(1, m + 1) - 0.5) / m
 
@@ -183,6 +186,7 @@ def _region(data, method, alpha, m, width_mult):
 
 def psi_pointwise_test(data, psi0, alpha, m, width_mult=TEST_WIDTH):
     """Test H0: psi = psi0 by pointwise rejection over proxy phi values."""
+    _check_psi(psi0)
     (max_p,) = _one_row(data, "test", ("pointwise",), psi0, alpha, m, width_mult)["pointwise"]
     return decide(max_p, NULL_SPEC, alpha, m)
 
@@ -190,10 +194,17 @@ def psi_pointwise_test(data, psi0, alpha, m, width_mult=TEST_WIDTH):
 def psi_lrt_test(data, psi0, alpha, m, width_mult=TEST_WIDTH):
     """LRT baseline: reject when n*log(RSS_null / RSS_alt) clears the
     chi2_{1-alpha, 1} cutoff at every proxy point."""
+    _check_psi(psi0)
     cutoff = _lrt_cutoff(alpha)
     (stat,) = _one_row(data, "test", ("lrt",), psi0, alpha, m, width_mult)["lrt"]
     max_p = 0.0 if math.isinf(stat) else 1.0 - chi2_cdf(stat, 1)
     return TestDecision(stat >= cutoff, max_p, alpha, m)
+
+
+def _check_psi(psi):
+    """Refuse a psi that is not a point of the real line."""
+    if not math.isfinite(psi):
+        raise ValueError("psi must be finite, got %r" % (psi,))
 
 
 def _one_row(data, *args):
@@ -262,6 +273,7 @@ def decide_batch(x, y, mode, methods, alpha, m, psi):
         raise ValueError("method %r not available for the nuisance model" % (unknown[0],))
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("x and y must be finite (no nan or inf)")
+    _check_psi(psi)
     width = REGION_WIDTH if mode == "coverage" else TEST_WIDTH
     flag, rows = _statistic_rows(x, y, mode, methods, psi, alpha, m, width)
     if mode == "coverage":

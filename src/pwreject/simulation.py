@@ -2,20 +2,21 @@
 
 Each replicate r of a setting draws its own RNG stream from (the setting's
 master_seed, r), generates one dataset under the setting's truth, and
-applies every requested method to that same dataset.  A setting's
-decisions depend only on its **decision key** (``_decision_key``): the
-model, n, m, methods and alpha, and for the nuisance model also the mode
-(test or coverage) and the psi it reads (psi0 when testing, the true psi
-for coverage).  ``run_suite`` runs the settings that share a key as one
-group: their replicates form one sequence of rows, setting after setting,
-generated serially and decided in blocks of consecutive rows that may span
-settings; ``run_experiment`` is the group of one setting.  Every model
-takes one path: each row's stream writes its standard normals straight
-into its row of (B, ...) noise arrays, the block's data columns are formed
-from them at once with each row's truth, and the stack is handed to one
-decision call.  The streams' seed words, and each setting's seed in a
-suite, come from the cached block hash of :mod:`pwreject.distributions`.
-The ball, nuisance and or_null models decide the whole stack at once
+applies every method of the setting's model to that same dataset; the
+nuisance tests test psi0 = 1.  A setting's decisions depend only on its
+**decision key** (``_decision_key``): the model, n, m and alpha, and for
+the nuisance model also the mode (test or coverage) and the psi it reads
+(psi0 when testing, the true psi for coverage).  ``run_suite`` runs the
+settings that share a key as one group: their replicates form one sequence
+of rows, setting after setting, generated serially and decided in blocks
+of consecutive rows that may span settings; ``run_experiment`` is the
+group of one setting.  Every model takes one path: each row's stream
+writes its standard normals straight into its row of (B, ...) noise
+arrays, the block's data columns are formed from them at once with each
+row's truth, and the stack is handed to one decision call.  The streams'
+seed words, and each setting's seed in a suite, come from the cached block
+hash of :mod:`pwreject.distributions`.  The ball, nuisance and or_null
+models decide the whole stack at once
 (:func:`pwreject.models.mvn_ball.decide_batch` on the (B, n, 5) draws,
 :func:`pwreject.models.nuisance.decide_batch` on the (B, n) x and y,
 :func:`pwreject.models.linear_or.decide_batch` on the (B, n) x1, x2 and
@@ -43,21 +44,19 @@ __all__ = ["ExperimentConfig", "ExperimentResult", "run_experiment", "run_suite"
 
 MODES = ("type1", "power", "coverage")
 
-_MODEL_MIN_N = {"interval": 2, "or_null": 4, "nuisance": 3, "ball": 1}
+# Sample splitting (the ball model's LRT baselines) needs two observations.
+_MODEL_MIN_N = {"interval": 2, "or_null": 4, "nuisance": 3, "ball": 2}
 # Parameters in a truth: mu; (b1, b2); (psi, phi); theta.
 _TRUTH_LEN = {"interval": 1, "or_null": 2, "nuisance": 2, "ball": mvn_ball.DIM}
-# Each model's methods, and the open upper end of the levels each method's
-# test takes; alpha == 1 is legal too, except for the nuisance regions and
-# LRT (below).  The pointwise tests of the three nulls with boundary need
-# alpha < 1/2.
+# Each model's methods, in the order of a setting's rows.
 _MODEL_METHODS = {
-    "interval": {"pointwise": 0.5, "bonferroni": 1.0},
-    "or_null": {"pointwise": 0.5},
-    "nuisance": {"pointwise": 1.0, "lrt": 1.0},
-    "ball": {"pointwise": 0.5, "split_lrt": 1.0, "crossfit_lrt": 1.0},
+    "interval": ("pointwise", "bonferroni"),
+    "or_null": ("pointwise",),
+    "nuisance": ("pointwise", "lrt"),
+    "ball": ("pointwise", "split_lrt", "crossfit_lrt"),
 }
-# Sample splitting needs a nonempty half on each side.
-_METHOD_MIN_N = {"split_lrt": 2, "crossfit_lrt": 2}
+# The nuisance tests test H0: psi = 1.
+_PSI0 = 1.0
 # Floats in a block's largest array (4 MB of float64); a block is at least
 # one replicate.
 _BLOCK_FLOATS = 2**19
@@ -73,14 +72,14 @@ class ExperimentConfig:
     alpha: float
     m: int  # nuisance proxy points; or_null test points, m / 2 per boundary arm
     master_seed: int
-    methods: tuple
-    psi0: float = 1.0  # tested psi value for the nuisance model
 
     def __post_init__(self):
-        try:
-            operator.index(self.master_seed)
-        except TypeError:
-            raise TypeError("master_seed must be an integer, got %r" % (self.master_seed,)) from None
+        for name in ("n", "replicates", "m", "master_seed"):
+            value = getattr(self, name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise TypeError("%s must be an integer, got %r" % (name, value)) from None
         if self.model not in MODEL_IDS:
             raise ValueError("unknown model %r" % (self.model,))
         if self.mode not in MODES:
@@ -101,25 +100,21 @@ class ExperimentConfig:
             )
         if self.model == "or_null" and (self.m < 2 or self.m % 2):
             raise ValueError("the 'or_null' model needs an even m >= 2, got %r" % (self.m,))
-        if self.model == "nuisance" and self.m < 1:
-            raise ValueError("the 'nuisance' model needs m >= 1, got %r" % (self.m,))
-        if not self.methods:
-            raise ValueError("at least one method is required")
-        for method in self.methods:
-            if method not in _MODEL_METHODS[self.model]:
-                raise ValueError(
-                    "method %r not available for model %r" % (method, self.model)
-                )
-            if self.n < _METHOD_MIN_N.get(method, 1):
-                raise ValueError(
-                    "n=%d is below the %r method minimum %d"
-                    % (self.n, method, _METHOD_MIN_N[method])
-                )
-            _check_level(self.alpha, _MODEL_METHODS[self.model][method])
-        if self.model == "nuisance" and (self.mode == "coverage" or "lrt" in self.methods):
+        if self.model == "nuisance":
+            if self.m < 1:
+                raise ValueError("the 'nuisance' model needs m >= 1, got %r" % (self.m,))
             # The region thresholds and the LRT cut-off are quantiles at
             # 1 - alpha, which have no alpha == 1 limit.
             _check_alpha(self.alpha, 1.0)
+        else:
+            # The pointwise tests of the three nulls with boundary need
+            # alpha < 1/2; alpha == 1 is their degenerate limit.
+            _check_level(self.alpha, 0.5)
+
+    @property
+    def methods(self):
+        """All of the model's methods, in the order of a setting's rows."""
+        return _MODEL_METHODS[self.model]
 
 
 @dataclass(frozen=True)
@@ -160,10 +155,9 @@ def _columns(model, truth, noise):
     """The data columns of stacked replicates, formed from their (B, ...) draws.
 
     Each parameter in ``truth`` is a float, or a (B, 1) column when the rows
-    have different truths (``_row_truth``).  Returns (y,) for interval,
-    (x1, x2, y) for or_null, (x, y) for nuisance and the (B, n, 5) draws
-    for ball; each column is (B, n) otherwise.  The noise has unit standard
-    deviation.
+    span settings (``_stack``).  Returns (y,) for interval, (x1, x2, y) for
+    or_null, (x, y) for nuisance and the (B, n, 5) draws for ball; each
+    column is (B, n) otherwise.  The noise has unit standard deviation.
     """
     if model == "interval":
         return (truth[0] + noise[0],)
@@ -181,62 +175,42 @@ def _columns(model, truth, noise):
     return (np.asarray(truth, dtype=float).T.reshape(-1, 1, mvn_ball.DIM) + noise[0],)
 
 
-def _draw(config, g):
-    """One replicate's data columns, drawn from the generator ``g``."""
-    noise = [g.standard_normal((1,) + shape) for shape in _noise_shapes(config)]
-    return tuple(column[0] for column in _columns(config.model, config.truth, noise))
-
-
-def _spans(configs, lo, hi):
-    """(config, first, last) for each setting with replicates in rows lo .. hi - 1.
-
-    A group's rows are its settings' replicates, setting after setting;
-    rows lo .. hi - 1 hold replicates first .. last - 1 of each such setting.
-    """
-    start = 0
-    for config in configs:
-        first, last = max(lo - start, 0), min(hi - start, config.replicates)
-        if first < last:
-            yield config, first, last
-        start += config.replicates
-
-
-def _row_truth(spans):
-    """The truth of stacked rows, as ``_columns`` takes it.
-
-    The rows of one setting share its truth tuple; otherwise each parameter
-    is a (B, 1) column, setting by setting.
-    """
-    if len(spans) == 1:
-        return spans[0][0].truth
-    rows = [last - first for _, first, last in spans]
-    return tuple(np.repeat(p, rows)[:, None] for p in zip(*(c.truth for c, _, _ in spans)))
-
-
 def _stack(configs, lo, size):
     """The data columns of rows lo .. lo + size - 1 of a group, each stacked as (size, ...).
 
+    A group's rows are its settings' replicates, setting after setting.
     Each row's stream, ``RngStream(seed, r)`` of its own setting, writes its
     draws straight into its row of the (size, ...) noise arrays; the columns
-    are then formed once per block, from each row's truth.
+    are then formed once per block, from each row's truth: the truth tuple
+    of the one setting the block lies in, or else one (size, 1) column per
+    parameter, setting by setting.
     """
     noise = [np.empty((size,) + shape) for shape in _noise_shapes(configs[0])]
-    spans = list(_spans(configs, lo, lo + size))
-    row = 0
-    for config, first, last in spans:
+    truths, counts = [], []
+    start = row = 0
+    for config in configs:
+        first, last = max(lo - start, 0), min(lo + size - start, config.replicates)
+        start += config.replicates
+        if first < last:
+            truths.append(config.truth)
+            counts.append(last - first)
         for r in range(first, last):
             g = RngStream(config.master_seed, r).generator
             for z in noise:
                 g.standard_normal(out=z[row])
             row += 1
-    return _columns(configs[0].model, _row_truth(spans), noise)
+    if len(truths) == 1:
+        truth = truths[0]
+    else:
+        truth = tuple(np.repeat(p, counts)[:, None] for p in zip(*truths))
+    return _columns(configs[0].model, truth, noise)
 
 
 def _nuisance_target(config):
     """The ``nuisance.decide_batch`` mode of a nuisance setting, and the psi it reads."""
     if config.mode == "coverage":
         return "coverage", config.truth[0]
-    return "test", config.psi0
+    return "test", _PSI0
 
 
 def _decision_key(config):
@@ -245,7 +219,7 @@ def _decision_key(config):
     Settings with equal keys differ only in their truth, seed and replicate
     count, so their replicates are decided along one sequence of blocks.
     """
-    key = (config.model, config.n, config.m, config.methods, config.alpha)
+    key = (config.model, config.n, config.m, config.alpha)
     if config.model == "nuisance":
         key += _nuisance_target(config)
     return key
@@ -358,43 +332,36 @@ def _suite_configs(suite, scale):
         for m in (10, 100):
             for n in (5, 10, 20, 50, 100):
                 out.append(dict(model="or_null", mode="type1", truth=(1.0, 0.0),
-                                n=n, replicates=reps(10_000), alpha=0.05, m=m,
-                                methods=("pointwise",)))
+                                n=n, replicates=reps(10_000), alpha=0.05, m=m))
     elif suite == "table2":
         for n in (5, 10, 30, 100, 1000):
             out.append(dict(model="ball", mode="type1", truth=_BALL_BOUNDARY,
-                            n=n, replicates=reps(40_000), alpha=0.05, m=1,
-                            methods=("pointwise", "split_lrt", "crossfit_lrt")))
+                            n=n, replicates=reps(40_000), alpha=0.05, m=1))
     elif suite == "fig1":
         for mu in np.linspace(-0.5, 1.5, 9):
             out.append(dict(model="interval", mode="type1", truth=(float(mu),),
-                            n=20, replicates=reps(10_000), alpha=0.05, m=0,
-                            methods=("pointwise", "bonferroni")))
+                            n=20, replicates=reps(10_000), alpha=0.05, m=0))
     elif suite == "fig2":
         for n in (5, 10, 20, 50, 200):
             for mu in (0.0, 1.0):
                 out.append(dict(model="interval", mode="type1", truth=(mu,),
-                                n=n, replicates=reps(10_000), alpha=0.05, m=0,
-                                methods=("pointwise", "bonferroni")))
+                                n=n, replicates=reps(10_000), alpha=0.05, m=0))
     elif suite == "fig3":
         for n in (5, 15, 30, 50, 100, 200):
             out.append(dict(model="nuisance", mode="coverage", truth=(1.0, 2.0),
-                            n=n, replicates=reps(10_000), alpha=0.05, m=50,
-                            methods=("pointwise", "lrt")))
+                            n=n, replicates=reps(10_000), alpha=0.05, m=50))
     elif suite == "fig4":
         for psi in (0.5, 1.0, 1.5):
             for phi in (1.0, 1.5, 2.0, 2.5, 3.0):
                 for n in (5, 10):
                     out.append(dict(model="nuisance", mode="power", truth=(psi, phi),
-                                    n=n, replicates=reps(10_000), alpha=0.05, m=100,
-                                    psi0=1.0, methods=("pointwise", "lrt")))
+                                    n=n, replicates=reps(10_000), alpha=0.05, m=100))
     elif suite == "fig5":
         for mu in (1.05, 1.2, 1.5):
             for n in (5, 10, 30, 100, 200, 1000):
                 out.append(dict(model="ball", mode="power",
                                 truth=(mu, 0.0, 0.0, 0.0, 0.0),
-                                n=n, replicates=reps(10_000), alpha=0.05, m=1,
-                                methods=("pointwise", "split_lrt", "crossfit_lrt")))
+                                n=n, replicates=reps(10_000), alpha=0.05, m=1))
     else:
         raise ValueError("unknown suite %r" % (suite,))
     return out

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
 
@@ -14,6 +15,14 @@ from pwreject import cli
 from pwreject.alpha_prime import NullSpec, alpha_prime
 from pwreject.cli import CliError, _load_columns, build_parser, main
 from pwreject.distributions import RngStream
+
+
+def run_cli(args, **kwargs):
+    """``python -m pwreject.cli args`` in a child process that imports this pwreject."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, "-m", "pwreject.cli", *args], env=env, **kwargs)
 
 
 def write_csv(path, header, rows):
@@ -133,6 +142,21 @@ class TestTestCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: significance level must lie in (0, 0.5) or be 1, got 0.7\n"
+
+    @pytest.mark.parametrize("model, option, message", [
+        ("interval", "--a", "interval endpoints must not be nan"),
+        ("interval", "--b", "interval endpoints must not be nan"),
+        ("nuisance", "--psi0", "psi must be finite"),
+    ])
+    def test_nan_null_parameter_exits_2(self, request, capsys, model, option, message):
+        # These used to exit 0: --b nan printed "max_p": NaN (not JSON), --a
+        # nan tested against b alone, --psi0 nan failed to reject.
+        data = request.getfixturevalue(model + "_csv")
+        assert main(["test", "--model", model, "--data", data, option, "nan",
+                     "--format", "json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_value_exits_2(self, tmp_path, capsys, bad):
@@ -272,6 +296,14 @@ class TestConfreg:
         assert captured.out == ""
         assert captured.err == "error: significance level must lie in (0, 1), got 1.0\n"
 
+    @pytest.mark.parametrize("width", ["nan", "inf", "0", "-5"])
+    def test_bad_window_width_exits_2(self, nuisance_csv, capsys, width):
+        # A nan or infinite width used to print the empty region and exit 0.
+        assert main(["confreg", "--data", nuisance_csv, "--width=" + width]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "proxy window width must be positive and finite" in captured.err
+
     def test_unwritable_out_exits_2(self, nuisance_csv, tmp_path, capsys):
         out_path = str(tmp_path / "no" / "such" / "region.csv")
         assert main(["confreg", "--data", nuisance_csv, "--out", out_path]) == 2
@@ -283,11 +315,8 @@ class TestConfreg:
 class TestSimulate:
     def run_simulate(self, tmp_path, name):
         out = str(tmp_path / name)
-        argv = [
-            sys.executable, "-m", "pwreject.cli", "simulate", "--suite", "fig1",
-            "--seed", "9", "--scale", "0.003", "--out", out,
-        ]
-        subprocess.run(argv, check=True)
+        run_cli(["simulate", "--suite", "fig1", "--seed", "9", "--scale", "0.003", "--out", out],
+                check=True)
         with open(out, "rb") as fh:
             return fh.read()
 
@@ -331,9 +360,6 @@ class TestSimulate:
 
 
 def test_console_script_help():
-    proc = subprocess.run(
-        [sys.executable, "-m", "pwreject.cli", "--help"],
-        capture_output=True, text=True,
-    )
+    proc = run_cli(["--help"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "alpha-prime" in proc.stdout

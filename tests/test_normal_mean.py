@@ -72,6 +72,21 @@ class TestIntervalTest:
         with pytest.raises(ValueError):
             nm.interval_null_test(sample(), 1.0, 0.0, 0.05)
 
+    @pytest.mark.parametrize("fn", [nm.interval_null_test, nm.bonferroni_interval_test])
+    @pytest.mark.parametrize("a, b", [(math.nan, 1.0), (0.0, math.nan), (math.nan, math.nan)])
+    def test_nan_endpoint_refused(self, fn, a, b):
+        # A nan b used to give max p = nan, and a nan a a test against b alone.
+        with pytest.raises(ValueError, match="interval endpoints must not be nan"):
+            fn(sample(), a, b, 0.05)
+
+    @pytest.mark.parametrize("fn", [nm.interval_null_test, nm.bonferroni_interval_test])
+    def test_infinite_endpoint_is_a_half_line_null(self, fn):
+        s = sample(mu=0.8)
+        for (a, b), (far_a, far_b) in (((-math.inf, 0.5), (-1e9, 0.5)),
+                                       ((1.5, math.inf), (1.5, 1e9))):
+            dec = fn(s, a, b, 0.05)
+            assert dec.max_p == fn(s, far_a, far_b, 0.05).max_p and 0.0 < dec.max_p < 1.0
+
     def test_alpha_range(self):
         # alpha' = 2 * alpha exactly inside (0, 1/2); alpha == 1 is the
         # degenerate limit alpha' = 1; anything else is refused.

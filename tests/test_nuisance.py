@@ -66,6 +66,16 @@ class TestProxyGrid:
         grid = nu.proxy_phi_grid(3.0, 10, 7, 5.0)
         assert grid.mean() == pytest.approx(3.0, abs=1e-12)
 
+    @pytest.mark.parametrize("width", [math.nan, math.inf, 0.0, -5.0])
+    def test_window_width_must_be_positive_and_finite(self, width):
+        # A nan or infinite width used to give an empty region.
+        match = "proxy window width must be positive and finite"
+        with pytest.raises(ValueError, match=match):
+            nu.proxy_phi_grid(2.0, 25, 4, width)
+        for fn in (nu.psi_region_F, nu.psi_region_LRT):
+            with pytest.raises(ValueError, match=match):
+                fn(make_data(), 0.05, 50, width)
+
 
 def scalar_interval(y, g, thr):
     """Reference acceptance interval for one regressor row by the quadratic
@@ -263,6 +273,17 @@ class TestLevelsAndDegenerateFits:
         for alpha in (1.0, 1.5, 0.0):
             with pytest.raises(ValueError, match=r"significance level must lie in \(0, 1\), got "):
                 fn(make_data(), alpha, 50)
+
+    @pytest.mark.parametrize("psi", [math.nan, math.inf, -math.inf])
+    def test_non_finite_psi_refused(self, psi):
+        # A nan psi0 used to give "fail to reject" with max p 1.0.
+        for fn in (nu.psi_pointwise_test, nu.psi_lrt_test):
+            with pytest.raises(ValueError, match="psi must be finite"):
+                fn(make_data(), psi, 0.05, 100)
+        x, y = xy_stack(1, 3, 6)
+        for mode in ("test", "coverage"):
+            with pytest.raises(ValueError, match="psi must be finite"):
+                nu.decide_batch(x, y, mode, ("pointwise", "lrt"), 0.05, 10, psi)
 
     def test_lrt_test_refuses_alpha_one(self):
         with pytest.raises(ValueError, match=r"significance level must lie in \(0, 1\), got 1.0"):

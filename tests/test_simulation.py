@@ -25,7 +25,7 @@ from test_mvn_ball import reference_decisions
 def config(**overrides):
     base = dict(
         model="interval", mode="type1", truth=(0.0,), n=10, replicates=200,
-        alpha=0.05, m=0, master_seed=123, methods=("pointwise", "bonferroni"),
+        alpha=0.05, m=0, master_seed=123,
     )
     base.update(overrides)
     return ExperimentConfig(**base)
@@ -52,9 +52,9 @@ class TestRunExperiment:
 
     def test_alpha_one_rejects_every_replicate(self):
         for kwargs in (
-            dict(model="interval", truth=(0.3,), methods=("pointwise",)),
-            dict(model="or_null", truth=(1.0, 0.0), m=10, methods=("pointwise",)),
-            dict(model="ball", truth=(0, 0, 0, 0, 0), m=1, methods=("pointwise",)),
+            dict(model="interval", truth=(0.3,)),
+            dict(model="or_null", truth=(1.0, 0.0), m=10),
+            dict(model="ball", truth=(0, 0, 0, 0, 0), m=1),
         ):
             res = run_experiment(config(alpha=1.0, replicates=50, **kwargs))
             assert res.rates["pointwise"] == 1.0
@@ -69,12 +69,12 @@ class TestRunExperiment:
     def test_nuisance_modes(self):
         cov = run_experiment(config(
             model="nuisance", mode="coverage", truth=(1.0, 2.0), n=20,
-            m=20, replicates=100, methods=("pointwise", "lrt"),
+            m=20, replicates=100,
         ))
         assert 0.5 <= cov.rates["pointwise"] <= 1.0
         pow_ = run_experiment(config(
             model="nuisance", mode="power", truth=(2.0, 2.0), n=20,
-            m=20, replicates=100, methods=("pointwise",),
+            m=20, replicates=100,
         ))
         assert pow_.rates["pointwise"] > 0.5  # psi0=1 is false here
 
@@ -96,78 +96,58 @@ class TestRunExperiment:
             config(replicates=0)
         with pytest.raises(ValueError):
             config(model="or_null", truth=(1.0, 0.0), n=3)
-        with pytest.raises(ValueError):
-            config(methods=())
-
-    @pytest.mark.parametrize("kwargs", [
-        dict(methods=("nope",)),
-        dict(methods=("pointwise", "lrt")),
-        dict(model="or_null", truth=(1.0, 0.0), m=10, methods=("bonferroni",)),
-        dict(model="nuisance", truth=(1.0, 2.0), m=10, methods=("split_lrt",)),
-        dict(model="ball", truth=(1, 0, 0, 0, 0), m=1, methods=("lrt",)),
-    ])
-    def test_unknown_method_refused_at_construction(self, kwargs):
-        method = kwargs["methods"][-1]
-        model = kwargs.get("model", "interval")
-        with pytest.raises(ValueError, match="method %r not available for model %r"
-                           % (method, model)):
-            config(**kwargs)
 
     @pytest.mark.parametrize("alpha", [2.0, -1.0, 0.0, 1.5, math.nan])
     def test_alpha_outside_unit_interval_refused(self, alpha):
         # An interval bonferroni run at alpha = 2 used to report a rate of 1.0.
         with pytest.raises(ValueError, match="significance level must lie in"):
-            config(alpha=alpha, methods=("bonferroni",))
+            config(alpha=alpha)
 
     def test_m_must_label_the_test_that_runs(self):
         # or_null runs m / 2 test points per boundary arm; m = 0, 1, 2 and 3
         # all used to run the same 2-point test under different m labels.
-        or_null = dict(model="or_null", truth=(1.0, 0.0), methods=("pointwise",))
+        or_null = dict(model="or_null", truth=(1.0, 0.0))
         for m in (-2, 0, 1, 3, 11):
             with pytest.raises(ValueError, match="even m >= 2"):
                 config(m=m, **or_null)
         assert config(m=2, **or_null).m == 2
-        nuisance_kw = dict(model="nuisance", truth=(1.0, 2.0), methods=("pointwise",))
+        nuisance_kw = dict(model="nuisance", truth=(1.0, 2.0))
         with pytest.raises(ValueError, match="m >= 1"):
             config(m=0, **nuisance_kw)
         assert config(m=1, **nuisance_kw).m == 1
 
-    @pytest.mark.parametrize("model, truth, m, methods", [
-        ("interval", (0.0,), 0, ("pointwise", "bonferroni")),
-        ("or_null", (1.0, 0.0), 10, ("pointwise",)),
-        ("ball", (1, 0, 0, 0, 0), 1, ("split_lrt", "pointwise")),
-        ("nuisance", (1.0, 2.0), 10, ("pointwise", "lrt")),
+    @pytest.mark.parametrize("model, truth, m", [
+        ("interval", (0.0,), 0),
+        ("or_null", (1.0, 0.0), 10),
+        ("ball", (1, 0, 0, 0, 0), 1),
+        ("nuisance", (1.0, 2.0), 10),
     ])
-    def test_alpha_the_method_refuses_is_refused_at_construction(self, model, truth, m, methods):
+    def test_alpha_the_method_refuses_is_refused_at_construction(self, model, truth, m):
         # The pointwise tests of the three nulls with boundary take alpha in
         # (0, 1/2) or alpha = 1; run_experiment used to accept alpha = 0.7
         # and then raise at the first block.  The nuisance null has no
-        # boundary, and every other method takes alpha up to 1.
+        # boundary, and its methods take alpha up to 1.
         kwargs = dict(model=model, truth=truth, m=m, n=6, replicates=5)
-        accepted = methods
-        if model != "nuisance":
+        methods = set(config(**kwargs).methods)
+        if model == "nuisance":
+            res = run_experiment(config(alpha=0.7, **kwargs))
+            assert set(res.rates) == methods
+        else:
             with pytest.raises(ValueError, match=r"must lie in \(0, 0.5\) or be 1, got 0.7"):
-                config(alpha=0.7, methods=methods, **kwargs)
-            accepted = tuple(name for name in methods if name != "pointwise")
-        if accepted:
-            res = run_experiment(config(alpha=0.7, methods=accepted, **kwargs))
-            assert set(res.rates) == set(accepted)
-        res = run_experiment(config(alpha=0.49, methods=methods, **kwargs))
-        assert set(res.rates) == set(methods)
+                config(alpha=0.7, **kwargs)
+        res = run_experiment(config(alpha=0.49, **kwargs))
+        assert set(res.rates) == methods
         if model != "nuisance":
-            res = run_experiment(config(alpha=1.0, methods=methods, **kwargs))
-            assert set(res.rates) == set(methods) and res.rates["pointwise"] == 1.0
+            res = run_experiment(config(alpha=1.0, **kwargs))
+            assert set(res.rates) == methods and res.rates["pointwise"] == 1.0
 
-    def test_nuisance_alpha_one_only_for_the_pointwise_test(self):
+    def test_nuisance_alpha_one_refused(self):
         # The nuisance regions and LRT cut-off are quantiles at 1 - alpha:
         # alpha = 1 used to pass construction and raise at the first block.
         kwargs = dict(model="nuisance", truth=(1.0, 2.0), m=10, n=6, replicates=5, alpha=1.0)
-        for mode, methods in (("power", ("lrt",)), ("power", ("pointwise", "lrt")),
-                              ("coverage", ("pointwise",)), ("coverage", ("lrt",))):
+        for mode in ("power", "coverage"):
             with pytest.raises(ValueError, match=r"must lie in \(0, 1\), got 1.0"):
-                config(mode=mode, methods=methods, **kwargs)
-        res = run_experiment(config(mode="power", methods=("pointwise",), **kwargs))
-        assert res.rates == {"pointwise": 1.0}
+                config(mode=mode, **kwargs)
 
     @pytest.mark.parametrize("model, truth, m", [
         ("interval", (0.5,), 0),
@@ -178,8 +158,8 @@ class TestRunExperiment:
         # Only the nuisance model computes regions; the others reported
         # their rejection rate under the name of a coverage rate.
         with pytest.raises(ValueError, match="mode 'coverage' needs the 'nuisance' model"):
-            config(model=model, truth=truth, m=m, mode="coverage", methods=("pointwise",))
-        config(model=model, truth=truth, m=m, mode="power", methods=("pointwise",))
+            config(model=model, truth=truth, m=m, mode="coverage")
+        config(model=model, truth=truth, m=m, mode="power")
 
     @pytest.mark.parametrize("model, truth", [
         ("ball", (1.0,)),
@@ -196,34 +176,55 @@ class TestRunExperiment:
     def test_split_methods_need_two_observations(self):
         # Sample splitting at n = 1 leaves an empty half; the config must
         # refuse it instead of run_experiment crashing mid-run.
-        ball = dict(model="ball", truth=(1, 0, 0, 0, 0), m=1, n=1)
-        for method in ("split_lrt", "crossfit_lrt"):
-            with pytest.raises(ValueError, match=method):
-                config(methods=("pointwise", method), **ball)
-        res = run_experiment(config(methods=("pointwise",), replicates=20, **ball))
-        assert 0.0 <= res.rates["pointwise"] <= 1.0
-        res = run_experiment(config(
-            methods=("split_lrt", "crossfit_lrt"), replicates=20, **dict(ball, n=2)
-        ))
-        assert set(res.rates) == {"split_lrt", "crossfit_lrt"}
+        ball = dict(model="ball", truth=(1, 0, 0, 0, 0), m=1, replicates=20)
+        with pytest.raises(ValueError, match="n=1 is below the 'ball' model minimum 2"):
+            config(n=1, **ball)
+        res = run_experiment(config(n=2, **ball))
+        assert set(res.rates) == {"pointwise", "split_lrt", "crossfit_lrt"}
+
+    @pytest.mark.parametrize("model, truth, methods", [
+        ("interval", (0.0,), ("pointwise", "bonferroni")),
+        ("or_null", (1.0, 0.0), ("pointwise",)),
+        ("nuisance", (1.0, 2.0), ("pointwise", "lrt")),
+        ("ball", (1, 0, 0, 0, 0), ("pointwise", "split_lrt", "crossfit_lrt")),
+    ])
+    def test_every_setting_runs_all_of_its_models_methods(self, model, truth, methods):
+        cfg = config(model=model, truth=truth, m=10, n=6, replicates=5)
+        assert cfg.methods == methods
+        assert tuple(run_experiment(cfg).rates) == methods
+
+    @pytest.mark.parametrize("keyword, value", [("methods", ("pointwise",)), ("psi0", 1.0)])
+    def test_methods_and_psi0_are_not_settings(self, keyword, value):
+        # Every setting runs all of its model's methods, and the nuisance
+        # tests test psi0 = 1.
+        with pytest.raises(TypeError, match=keyword):
+            config(model="nuisance", truth=(1.0, 2.0), m=10, **{keyword: value})
+
+    @pytest.mark.parametrize("name, kwargs", [
+        ("n", dict(n=10.0)),
+        ("replicates", dict(replicates=2.5)),
+        ("m", dict(model="nuisance", truth=(1.0, 2.0), m=10.5)),
+    ])
+    def test_non_integer_size_refused_at_construction(self, name, kwargs):
+        # These used to construct, and run_experiment then raised a
+        # TypeError from deep inside the run.
+        with pytest.raises(TypeError, match="%s must be an integer" % name):
+            config(**kwargs)
 
 
 class TestBlocks:
-    BALL = dict(model="ball", truth=(1.0, 0.0, 0.0, 0.0, 0.0), m=1,
-                methods=("pointwise", "split_lrt", "crossfit_lrt"))
+    BALL = dict(model="ball", truth=(1.0, 0.0, 0.0, 0.0, 0.0), m=1)
 
     def test_ball_block_matches_per_replicate_scalar_tests(self):
         # Each replicate decided on its own by the per-point references
         # (test_mvn_ball.reference_decisions).
         cfg = config(replicates=40, n=6, **self.BALL)
-        draws = [simulation._draw(cfg, RngStream(cfg.master_seed, r).generator)[0]
-                 for r in range(cfg.replicates)]
+        draws = [simulation._stack([cfg], r, 1)[0][0] for r in range(cfg.replicates)]
         counts = [int(d.sum()) for d in reference_decisions(draws, cfg.methods, cfg.alpha)]
         res = run_experiment(cfg)
         assert [res.rates[m] for m in cfg.methods] == [c / 40 for c in counts]
 
-    NUISANCE = dict(model="nuisance", truth=(1.0, 2.0), n=5, m=10, replicates=10,
-                    methods=("pointwise", "lrt"))
+    NUISANCE = dict(model="nuisance", truth=(1.0, 2.0), n=5, m=10, replicates=10)
 
     @staticmethod
     def spy_block_sizes(monkeypatch):
@@ -240,15 +241,13 @@ class TestBlocks:
 
     @pytest.mark.parametrize("cfg", [
         config(replicates=10, n=4, **BALL),
-        config(replicates=10, n=1, **dict(BALL, methods=("pointwise",))),
+        config(replicates=10, n=2, **BALL),
         config(replicates=11),
-        config(model="or_null", truth=(1.0, 0.5), n=6, m=10, replicates=10,
-               methods=("pointwise",)),
-        config(model="or_null", truth=(1.0, 0.0), n=5, m=100, replicates=11,
-               methods=("pointwise",)),
+        config(model="or_null", truth=(1.0, 0.5), n=6, m=10, replicates=10),
+        config(model="or_null", truth=(1.0, 0.0), n=5, m=100, replicates=11),
         config(mode="coverage", **NUISANCE),
         config(mode="power", **dict(NUISANCE, truth=(1.5, 2.0))),
-    ], ids=["ball", "ball-n1", "interval", "or_null", "or_null-m100", "nuisance",
+    ], ids=["ball", "ball-n2", "interval", "or_null", "or_null-m100", "nuisance",
             "nuisance-power"])
     def test_block_length_changes_no_result(self, cfg, monkeypatch):
         # Floats of the largest per-replicate array: the (m, n) proxy
@@ -292,14 +291,13 @@ class TestBlocks:
         assert shapes == [(2, 10), (2, 10), (1, 10)]
 
     def test_or_null_block_matches_per_replicate_scalar_tests(self):
-        cfg = config(model="or_null", truth=(0.3, 0.3), n=8, m=20, replicates=60,
-                     methods=("pointwise",))
+        cfg = config(model="or_null", truth=(0.3, 0.3), n=8, m=20, replicates=60)
         # Each replicate decided on its own by the lstsq reference
         # (test_linear_or.reference_decision).
         rejects = 0
         for r in range(cfg.replicates):
-            columns = simulation._draw(cfg, RngStream(cfg.master_seed, r).generator)
-            data = linear_or.RegressionData(*columns)
+            columns = simulation._stack([cfg], r, 1)
+            data = linear_or.RegressionData(*(column[0] for column in columns))
             rejects += reference_decision(data, cfg.alpha, cfg.m // 2).reject
         assert 0 < rejects < cfg.replicates
         assert run_experiment(cfg).rates == {"pointwise": rejects / cfg.replicates}
@@ -324,8 +322,7 @@ class TestBlocks:
 
         monkeypatch.setattr(linear_or, "decide_batch", recorded)
         monkeypatch.setattr(simulation, "_BLOCK_FLOATS", 1000)
-        run_experiment(config(model="or_null", truth=(1.0, 0.0), n=10, m=100, replicates=5,
-                              methods=("pointwise",)))
+        run_experiment(config(model="or_null", truth=(1.0, 0.0), n=10, m=100, replicates=5))
         assert shapes == [((2, 10),) * 3, ((2, 10),) * 3, ((1, 10),) * 3]
 
     def test_flagged_replicate_counts_for_no_method(self, monkeypatch):
@@ -396,8 +393,7 @@ class TestGroups:
             return [~flagged, np.arange(12) == 8], flagged
 
         monkeypatch.setattr(nuisance, "decide_batch", fake)
-        base = dict(model="nuisance", mode="power", n=5, m=10, alpha=0.05,
-                    methods=("pointwise", "lrt"))
+        base = dict(model="nuisance", mode="power", n=5, m=10, alpha=0.05)
         configs = [ExperimentConfig(truth=(psi, 2.0), replicates=r, master_seed=seed, **base)
                    for psi, r, seed in ((0.5, 4, 1), (1.0, 3, 2), (1.5, 5, 3))]
         results = simulation._run_settings(configs)
@@ -454,10 +450,8 @@ class TestStreams:
     # Replicates enough for every stacked row below.
     CONFIGS = {
         "interval": config(truth=(0.7,), n=6, replicates=2000),
-        "or_null": config(model="or_null", truth=(0.3, -1.2), n=7, m=10, replicates=2000,
-                          methods=("pointwise",)),
-        "nuisance": config(model="nuisance", truth=(1.5, 2.5), n=5, m=10, replicates=2000,
-                           methods=("pointwise", "lrt")),
+        "or_null": config(model="or_null", truth=(0.3, -1.2), n=7, m=10, replicates=2000),
+        "nuisance": config(model="nuisance", truth=(1.5, 2.5), n=5, m=10, replicates=2000),
         "ball": config(n=4, replicates=2000, **TestBlocks.BALL),
     }
 
@@ -478,9 +472,10 @@ class TestStreams:
 
     @pytest.mark.parametrize("model", sorted(CONFIGS))
     def test_draw_is_the_one_replicate_stack(self, model):
+        # A replicate drawn from its own RngStream is the one-row stack.
         cfg = self.CONFIGS[model]
         for r in (0, 63, 64, 200):
-            drawn = simulation._draw(cfg, RngStream(cfg.master_seed, r).generator)
+            drawn = reference_draw(cfg, RngStream(cfg.master_seed, r).generator)
             stacked = simulation._stack([cfg], r, 1)
             assert [column.shape for column in drawn] == [column.shape[1:] for column in stacked]
             assert all(np.array_equal(a, b[0]) for a, b in zip(drawn, stacked))
