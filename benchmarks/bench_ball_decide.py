@@ -5,7 +5,7 @@ draws at the table2 boundary truth theta = (1, 0, 0, 0, 0) is decided
 
 - one replicate at a time, as the harness did before blocks: build
   ``MvnSample(stack[b])`` and run the pointwise, split and cross-fit tests;
-- in one call, ``mvn_ball.decide_batch(stack, methods, alpha)``.
+- in one call, ``mvn_ball.decide_batch(stack, alpha)``.
 
 Both give the same decisions (checked here).  The per-sample tests are
 one-row calls of the array function ``decide_batch`` runs, so the
@@ -33,7 +33,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 from pwreject.models import mvn_ball  # noqa: E402
 
 ALPHA = 0.05
-METHODS = ("pointwise", "split_lrt", "crossfit_lrt")
 THETA = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
 
 
@@ -50,7 +49,7 @@ def scalar_loop(stack):
 
 
 def batch(stack):
-    return np.array(mvn_ball.decide_batch(stack, METHODS, ALPHA))
+    return np.array(mvn_ball.decide_batch(stack, ALPHA))
 
 
 def us_per_replicate(fn, stack, repeats):

@@ -8,7 +8,7 @@ datasets drawn at the truth (psi, phi) = (1, 2) is decided
   and ``psi_region_LRT`` with ``.contains(1.0)``, m = 50 as in fig3; test:
   ``psi_pointwise_test`` and ``psi_lrt_test`` of psi0 = 1, m = 100 as in
   fig4);
-- in one call, ``nuisance.decide_batch(x, y, mode, methods, alpha, m, psi)``.
+- in one call, ``nuisance.decide_batch(x, y, mode, alpha, m, psi)``.
 
 Both give the same decisions (checked here).  The per-dataset functions
 are one-row calls of the array functions ``decide_batch`` runs, so the
@@ -38,7 +38,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 from pwreject.models import nuisance  # noqa: E402
 
 ALPHA = 0.05
-METHODS = ("pointwise", "lrt")
 PSI, PHI = 1.0, 2.0
 PROXY_POINTS = {"coverage": 50, "test": 100}
 
@@ -62,7 +61,7 @@ def scalar_loop(x, y, mode):
 
 
 def batch(x, y, mode):
-    hits, _ = nuisance.decide_batch(x, y, mode, METHODS, ALPHA, PROXY_POINTS[mode], PSI)
+    hits, _ = nuisance.decide_batch(x, y, mode, ALPHA, PROXY_POINTS[mode], PSI)
     return np.array(hits)
 
 

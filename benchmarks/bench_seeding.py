@@ -110,8 +110,8 @@ def main(argv=None):
     for model, kwargs in CONFIGS.items():
         for n in (5, 1000):
             for size in (2, 5, 8):
-                config = simulation.ExperimentConfig(n=n, replicates=size, alpha=0.05,
-                                                     master_seed=seed, **kwargs)
+                config = simulation.ExperimentConfig(n=n, replicates=size, master_seed=seed,
+                                                     **kwargs)
                 ours = simulation._stack([config], 0, size)
                 reference = seedseq_stack(config, 0, size)
                 assert all(np.array_equal(a, b) for a, b in zip(ours, reference))

@@ -13,6 +13,7 @@ raises is not stored, so an invalid level raises on every call.
 """
 
 import functools
+import operator
 from dataclasses import dataclass
 
 from pwreject.distributions import chi2_cdf, chi2_quantile
@@ -38,6 +39,7 @@ class NullSpec:
     has_boundary: bool = False
 
     def __post_init__(self):
+        _check_integers(self, "d1", "d0")
         if self.d1 < 1:
             raise ValueError("d1 must be >= 1, got %r" % (self.d1,))
         if not 0 <= self.d0 <= self.d1:
@@ -127,6 +129,16 @@ def boundary_balance_residual(alpha, spec, ap):
     dg = spec.d1 - spec.d0
     first = 1.0 if dg == 0 else chi2_cdf(q, dg)
     return 0.5 * (first + chi2_cdf(q, dg + 1)) - (1.0 - alpha)
+
+
+def _check_integers(obj, *names):
+    """Refuse a named field of ``obj`` that is not an integer to ``operator.index``."""
+    for name in names:
+        value = getattr(obj, name)
+        try:
+            operator.index(value)
+        except TypeError:
+            raise TypeError("%s must be an integer, got %r" % (name, value)) from None
 
 
 def _check_alpha(alpha, upper):

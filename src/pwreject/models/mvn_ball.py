@@ -13,10 +13,10 @@ boundaryless subspace variant used for the equivalence check with the
 traditional LRT live here too.
 
 Each test's p-value is written once, as an array function over a (B, n,
-5) stack of samples.  :func:`decide_batch` runs it on a whole stack; it is
-what the Monte Carlo harness calls.  The per-sample tests are one-row
-calls of it on ``sample.rows[None]``.  The reference they are checked
-against is :func:`pwreject.testing.pointwise_test` with
+5) stack of samples.  :func:`decide_batch` runs all three tests on a
+whole stack; it is what the Monte Carlo harness calls.  The per-sample
+tests are one-row calls of it on ``sample.rows[None]``.  The reference
+they are checked against is :func:`pwreject.testing.pointwise_test` with
 :func:`mvn_simple_p_value` at the projection.
 """
 
@@ -130,28 +130,26 @@ def _one_row_p(sample, method):
     return _p_value_rows(sample.rows[None], (method,))[method][0]
 
 
-def decide_batch(stack, methods, alpha):
-    """Reject flags of the named ball tests on every sample of a stack.
+def decide_batch(stack, alpha):
+    """Reject flags of every ball test on every sample of a stack.
 
-    ``stack`` is a (B, n, 5) array holding B samples.  The result has one
-    bool array of length B per name in ``methods`` (any of
-    ``BATCH_METHODS``), and entry b equals the ``reject`` of the matching
-    per-sample test on ``MvnSample(stack[b])``, which reads the same
-    p-values from a one-row stack.
+    ``stack`` is a (B, n, 5) array holding B samples, with n >= 2 because
+    the split tests need two observations.  The result has one bool array
+    of length B per name in ``BATCH_METHODS``, in that order, and entry b
+    equals the ``reject`` of the matching per-sample test on
+    ``MvnSample(stack[b])``, which reads the same p-values from a one-row
+    stack.
     """
     stack = np.asarray(stack, dtype=float)
-    if stack.ndim != 3 or stack.shape[2] != DIM or stack.shape[1] < 1:
-        raise ValueError("need a (B, n, 5) stack with n >= 1")
-    unknown = [m for m in methods if m not in BATCH_METHODS]
-    if unknown:
-        raise ValueError("method %r not available for the ball model" % (unknown[0],))
+    if stack.ndim != 3 or stack.shape[2] != DIM or stack.shape[1] < 2:
+        raise ValueError("need a (B, n, 5) stack with n >= 2")
     if not np.isfinite(stack).all():
         raise ValueError("observations must be finite (no nan or inf)")
     _check_level(alpha)
-    p = _p_value_rows(stack, methods)
+    p = _p_value_rows(stack, BATCH_METHODS)
     return [
         rejections(p[m], BALL_SPEC, alpha) if m == "pointwise" else np.array(p[m]) < alpha
-        for m in methods
+        for m in BATCH_METHODS
     ]
 
 

@@ -10,12 +10,12 @@ acceptance set {psi0 : F <= threshold} is an interval in closed form.
 
 The statistics are written once, as array functions over (B, n) stacks
 of datasets: the minimum restricted RSS over the proxy grid for the tests
-and the acceptance intervals for the regions.  :func:`decide_batch` runs
-them on a whole stack; it is what the Monte Carlo harness calls.  The
-per-dataset tests and regions are one-row calls of them.  The reference
-they are checked against is :func:`pwreject.testing.pointwise_test` over
-the proxy grid with :func:`f_stat_p_value`, and :func:`ols_line_fit` for
-the fit.
+and the acceptance intervals for the regions, for both methods at once.
+:func:`decide_batch` runs them on a whole stack; it is what the Monte
+Carlo harness calls.  The per-dataset tests and regions are one-row calls
+of them that read their own method's values.  The reference they are
+checked against is :func:`pwreject.testing.pointwise_test` over the proxy
+grid with :func:`f_stat_p_value`, and :func:`ols_line_fit` for the fit.
 """
 
 import math
@@ -170,33 +170,33 @@ def psi_region_F(data, alpha, m, width_mult=REGION_WIDTH):
     return _region(data, "pointwise", alpha, m, width_mult)
 
 
-def psi_region_LRT(data, alpha, m, width_mult=REGION_WIDTH):
-    """Large-sample LRT baseline region over the same proxy grid."""
-    return _region(data, "lrt", alpha, m, width_mult)
+def psi_region_LRT(data, alpha, m):
+    """Large-sample LRT baseline region over the default proxy grid."""
+    return _region(data, "lrt", alpha, m, REGION_WIDTH)
 
 
 def _region(data, method, alpha, m, width_mult):
     """The region built from the endpoints of ``data`` as a one-row stack."""
-    rows = _one_row(data, "coverage", (method,), None, alpha, m, width_mult)
+    rows = _one_row(data, "coverage", None, alpha, m, width_mult)
     whole_line, lo, hi, curved = (v[0] for v in rows[method])
     if whole_line:
         return Region1D([(-math.inf, math.inf)])
     return Region1D(zip(lo[curved].tolist(), hi[curved].tolist()))
 
 
-def psi_pointwise_test(data, psi0, alpha, m, width_mult=TEST_WIDTH):
+def psi_pointwise_test(data, psi0, alpha, m):
     """Test H0: psi = psi0 by pointwise rejection over proxy phi values."""
     _check_psi(psi0)
-    (max_p,) = _one_row(data, "test", ("pointwise",), psi0, alpha, m, width_mult)["pointwise"]
+    (max_p,) = _one_row(data, "test", psi0, alpha, m, TEST_WIDTH)["pointwise"]
     return decide(max_p, NULL_SPEC, alpha, m)
 
 
-def psi_lrt_test(data, psi0, alpha, m, width_mult=TEST_WIDTH):
+def psi_lrt_test(data, psi0, alpha, m):
     """LRT baseline: reject when n*log(RSS_null / RSS_alt) clears the
     chi2_{1-alpha, 1} cutoff at every proxy point."""
     _check_psi(psi0)
     cutoff = _lrt_cutoff(alpha)
-    (stat,) = _one_row(data, "test", ("lrt",), psi0, alpha, m, width_mult)["lrt"]
+    (stat,) = _one_row(data, "test", psi0, alpha, m, TEST_WIDTH)["lrt"]
     max_p = 0.0 if math.isinf(stat) else 1.0 - chi2_cdf(stat, 1)
     return TestDecision(stat >= cutoff, max_p, alpha, m)
 
@@ -241,21 +241,22 @@ def _region_rss_factor(method, alpha, n):
     return 1.0 + 2.0 * f_threshold / (n - 2)
 
 
-def decide_batch(x, y, mode, methods, alpha, m, psi):
-    """Decisions of the named nuisance methods on every dataset of a stack.
+def decide_batch(x, y, mode, alpha, m, psi):
+    """Decisions of both nuisance methods on every dataset of a stack.
 
-    ``x`` and ``y`` are (B, n) arrays; row b holds dataset b.  ``methods``
-    names any of ``BATCH_METHODS``.  In ``mode`` "coverage" a method's
+    ``x`` and ``y`` are (B, n) arrays; row b holds dataset b.  The methods
+    are ``BATCH_METHODS``, in that order.  In ``mode`` "coverage" a method's
     entry says whether its region (``psi_region_F`` for "pointwise",
     ``psi_region_LRT`` for "lrt") contains ``psi``; in ``mode`` "test" it
     says whether its test (``psi_pointwise_test``, ``psi_lrt_test``)
     rejects H0: psi = ``psi``.  Each uses the per-dataset function's
     default proxy window and ``m`` proxy points.
 
-    Returns ``(hits, flagged)``: one bool array of length B per method,
-    and the bool array of length B that marks the datasets whose fit is
-    degenerate (constant x, or b1_hat or b0_hat zero up to rounding, where
-    the per-dataset functions raise :class:`DegenerateFitError`).  A
+    Returns ``(hits, flagged)``: one bool array of length B per method of
+    ``BATCH_METHODS``, and the bool array of length B that marks the
+    datasets whose fit is degenerate (constant x, or b1_hat or b0_hat zero
+    up to rounding, where the per-dataset functions raise
+    :class:`DegenerateFitError`).  A
     flagged row hits for no method; on every other row b the hits equal
     the per-dataset results on ``XYData(x[b], y[b])``, which are one-row
     calls of the same ``_statistic_rows``.
@@ -268,23 +269,17 @@ def decide_batch(x, y, mode, methods, alpha, m, psi):
         raise ValueError("need n >= 3 observations")
     if mode not in ("coverage", "test"):
         raise ValueError("unknown mode %r" % (mode,))
-    unknown = [name for name in methods if name not in BATCH_METHODS]
-    if unknown:
-        raise ValueError("method %r not available for the nuisance model" % (unknown[0],))
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("x and y must be finite (no nan or inf)")
     _check_psi(psi)
     width = REGION_WIDTH if mode == "coverage" else TEST_WIDTH
-    flag, rows = _statistic_rows(x, y, mode, methods, psi, alpha, m, width)
+    flag, rows = _statistic_rows(x, y, mode, psi, alpha, m, width)
     if mode == "coverage":
         hits = [whole_line | (curved & (lo <= psi) & (psi <= hi)).any(axis=1)
-                for whole_line, lo, hi, curved in (rows[name] for name in methods)]
+                for whole_line, lo, hi, curved in (rows[name] for name in BATCH_METHODS)]
     else:
-        hits = [
-            rejections(rows[name], NULL_SPEC, alpha) if name == "pointwise"
-            else np.array(rows[name]) >= _lrt_cutoff(alpha)
-            for name in methods
-        ]
+        hits = [rejections(rows["pointwise"], NULL_SPEC, alpha),
+                np.array(rows["lrt"]) >= _lrt_cutoff(alpha)]
     kept = flag == 0
     return [row_hits & kept for row_hits in hits], ~kept
 
@@ -321,17 +316,17 @@ def _proxy_rows(x, y, m, width_mult):
     return flag, rss_alt, g
 
 
-def _statistic_rows(x, y, mode, methods, psi0, alpha, m, width_mult):
-    """What the named methods compute on each dataset of a (B, n) stack.
+def _statistic_rows(x, y, mode, psi0, alpha, m, width_mult):
+    """What both methods compute on each dataset of a (B, n) stack.
 
     Returns ``(flag, out)`` with ``flag`` from ``_proxy_rows`` and, per
-    name in ``methods``, its values per row; those of a flagged row mean
-    nothing.  In ``mode`` "test", for H0: psi = psi0 at the smallest
+    name in ``BATCH_METHODS``, its values per row; those of a flagged row
+    mean nothing.  In ``mode`` "test", for H0: psi = psi0 at the smallest
     RSS_null over the proxy grid: a list of max p-values for "pointwise"
     and of n * log(RSS_null / RSS_alt) for "lrt", per dataset on the scalar
-    ``f_cdf`` and ``math.log``.  In ``mode`` "coverage": the
-    ``_endpoints`` of the method's region, with RSS_null(psi0, phi_t) =
-    a*psi0**2 - 2*b*psi0 + c at each proxy point.
+    ``f_cdf`` and ``math.log``; alpha is not read.  In ``mode`` "coverage":
+    the ``_endpoints`` of the method's region at level alpha, with
+    RSS_null(psi0, phi_t) = a*psi0**2 - 2*b*psi0 + c at each proxy point.
     """
     flag, rss_alt, g = _proxy_rows(x, y, m, width_mult)
     n = y.shape[1]
@@ -342,14 +337,15 @@ def _statistic_rows(x, y, mode, methods, psi0, alpha, m, width_mult):
         g *= g
         min_rss_null = g.sum(axis=2).min(axis=1)
         pairs = list(zip(min_rss_null.tolist(), rss_alt.tolist()))
-        stat = {"pointwise": lambda r_null, r_alt: _f_p_value(_f_from_rss(r_null, r_alt, n), n),
-                "lrt": lambda r_null, r_alt: _lrt_stat(r_null, r_alt, n)}
-        return flag, {name: [stat[name](*pair) for pair in pairs] for name in methods}
+        return flag, {
+            "pointwise": [_f_p_value(_f_from_rss(r_null, r_alt, n), n) for r_null, r_alt in pairs],
+            "lrt": [_lrt_stat(r_null, r_alt, n) for r_null, r_alt in pairs],
+        }
     a = np.sum(g * g, axis=2)
     b = np.sum(y[:, None, :] * g, axis=2)
     c = np.sum(y * y, axis=1)
-    thresholds = {name: rss_alt * _region_rss_factor(name, alpha, n) for name in methods}
-    return flag, {name: _endpoints(a, b, c, thresholds[name]) for name in methods}
+    return flag, {name: _endpoints(a, b, c, rss_alt * _region_rss_factor(name, alpha, n))
+                  for name in BATCH_METHODS}
 
 
 def _endpoints(a, b, c, rss_threshold):

@@ -6,6 +6,7 @@ values, of the parameter sets not rejected at the modified level alpha'
 (see :func:`pwreject.models.nuisance.psi_region_F`).
 """
 
+import math
 from dataclasses import dataclass
 
 __all__ = ["Region1D"]
@@ -16,7 +17,8 @@ class Region1D:
     """Sorted union of disjoint closed intervals [lo, hi] on the real line.
 
     Touching or overlapping input intervals are merged on construction, so
-    two regions covering the same set compare equal.
+    two regions covering the same set compare equal.  An endpoint may be
+    infinite but not nan.
     """
 
     intervals: tuple
@@ -24,6 +26,8 @@ class Region1D:
     def __init__(self, intervals=()):
         cleaned = []
         for lo, hi in intervals:
+            if math.isnan(lo) or math.isnan(hi):
+                raise ValueError("interval endpoint is nan: (%r, %r)" % (lo, hi))
             if hi < lo:
                 raise ValueError("interval endpoints out of order: (%r, %r)" % (lo, hi))
             cleaned.append((float(lo), float(hi)))

@@ -2,15 +2,15 @@
 
 Each replicate r of a setting draws its own RNG stream from (the setting's
 master_seed, r), generates one dataset under the setting's truth, and
-applies every method of the setting's model to that same dataset; the
-nuisance tests test psi0 = 1.  A setting's decisions depend only on its
-**decision key** (``_decision_key``): the model, n, m and alpha, and for
-the nuisance model also the mode (test or coverage) and the psi it reads
-(psi0 when testing, the true psi for coverage).  ``run_suite`` runs the
-settings that share a key as one group: their replicates form one sequence
-of rows, setting after setting, generated serially and decided in blocks
-of consecutive rows that may span settings; ``run_experiment`` is the
-group of one setting.  Every model takes one path: each row's stream
+applies every method of the setting's model to that same dataset at
+level alpha = 0.05; the nuisance tests test psi0 = 1.  A setting's
+decisions depend only on its **decision key** (``_decision_key``): the
+model, n and m, and for the nuisance model also the mode (test or
+coverage) and the psi it reads (psi0 when testing, the true psi for
+coverage).  ``run_suite`` runs the settings that share a key as one
+group: their replicates form one sequence of rows, setting after setting,
+generated serially and decided in blocks of consecutive rows that may
+span settings; ``run_experiment`` is the group of one setting.  Every model takes one path: each row's stream
 writes its standard normals straight into its row of (B, ...) noise
 arrays, the block's data columns are formed from them at once with each
 row's truth, and the stack is handed to one decision call.  The streams'
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pwreject.alpha_prime import _check_alpha, _check_level
+from pwreject.alpha_prime import _check_integers
 from pwreject.distributions import RngStream, _stream_seed_words
 from pwreject.models import linear_or, mvn_ball, normal_mean, nuisance
 from pwreject.models import MODEL_IDS
@@ -52,10 +52,11 @@ _TRUTH_LEN = {"interval": 1, "or_null": 2, "nuisance": 2, "ball": mvn_ball.DIM}
 _MODEL_METHODS = {
     "interval": ("pointwise", "bonferroni"),
     "or_null": ("pointwise",),
-    "nuisance": ("pointwise", "lrt"),
-    "ball": ("pointwise", "split_lrt", "crossfit_lrt"),
+    "nuisance": nuisance.BATCH_METHODS,
+    "ball": mvn_ball.BATCH_METHODS,
 }
-# The nuisance tests test H0: psi = 1.
+# Every setting tests at level 0.05; the nuisance tests test H0: psi = 1.
+_ALPHA = 0.05
 _PSI0 = 1.0
 # Floats in a block's largest array (4 MB of float64); a block is at least
 # one replicate.
@@ -69,17 +70,11 @@ class ExperimentConfig:
     truth: tuple
     n: int
     replicates: int
-    alpha: float
     m: int  # nuisance proxy points; or_null test points, m / 2 per boundary arm
     master_seed: int
 
     def __post_init__(self):
-        for name in ("n", "replicates", "m", "master_seed"):
-            value = getattr(self, name)
-            try:
-                operator.index(value)
-            except TypeError:
-                raise TypeError("%s must be an integer, got %r" % (name, value)) from None
+        _check_integers(self, "n", "replicates", "m", "master_seed")
         if self.model not in MODEL_IDS:
             raise ValueError("unknown model %r" % (self.model,))
         if self.mode not in MODES:
@@ -100,16 +95,8 @@ class ExperimentConfig:
             )
         if self.model == "or_null" and (self.m < 2 or self.m % 2):
             raise ValueError("the 'or_null' model needs an even m >= 2, got %r" % (self.m,))
-        if self.model == "nuisance":
-            if self.m < 1:
-                raise ValueError("the 'nuisance' model needs m >= 1, got %r" % (self.m,))
-            # The region thresholds and the LRT cut-off are quantiles at
-            # 1 - alpha, which have no alpha == 1 limit.
-            _check_alpha(self.alpha, 1.0)
-        else:
-            # The pointwise tests of the three nulls with boundary need
-            # alpha < 1/2; alpha == 1 is their degenerate limit.
-            _check_level(self.alpha, 0.5)
+        if self.model == "nuisance" and self.m < 1:
+            raise ValueError("the 'nuisance' model needs m >= 1, got %r" % (self.m,))
 
     @property
     def methods(self):
@@ -219,7 +206,7 @@ def _decision_key(config):
     Settings with equal keys differ only in their truth, seed and replicate
     count, so their replicates are decided along one sequence of blocks.
     """
-    key = (config.model, config.n, config.m, config.alpha)
+    key = (config.model, config.n, config.m)
     if config.model == "nuisance":
         key += _nuisance_target(config)
     return key
@@ -233,23 +220,21 @@ def _decide(config, columns):
     hit for no method; only the nuisance model flags, so it is a scalar
     False for the others.
     """
-    methods, alpha = config.methods, config.alpha
     if config.model == "ball":
-        return mvn_ball.decide_batch(columns[0], methods, alpha), False
+        return mvn_ball.decide_batch(columns[0], _ALPHA), False
     if config.model == "nuisance":
         mode, psi = _nuisance_target(config)
-        return nuisance.decide_batch(*columns, mode, methods, alpha, config.m, psi)
+        return nuisance.decide_batch(*columns, mode, _ALPHA, config.m, psi)
     if config.model == "or_null":
         # or_null has one method, the pointwise test.
-        return [linear_or.decide_batch(*columns, alpha, config.m // 2)], False
-    # The interval null is [a, b] = [0, 1].
-    tests = {
-        "pointwise": lambda d: normal_mean.interval_null_test(d, 0.0, 1.0, alpha),
-        "bonferroni": lambda d: normal_mean.bonferroni_interval_test(d, 0.0, 1.0, alpha),
-    }
-    fns = [tests[method] for method in methods]
-    datasets = map(normal_mean.UnivariateSample, columns[0])
-    return list(zip(*([fn(d).reject for fn in fns] for d in datasets))), False
+        return [linear_or.decide_batch(*columns, _ALPHA, config.m // 2)], False
+    # The interval null is [a, b] = [0, 1]; pointwise, then bonferroni.
+    rows = []
+    for y in columns[0]:
+        data = normal_mean.UnivariateSample(y)
+        rows.append((normal_mean.interval_null_test(data, 0.0, 1.0, _ALPHA).reject,
+                     normal_mean.bonferroni_interval_test(data, 0.0, 1.0, _ALPHA).reject))
+    return list(zip(*rows)), False
 
 
 def _block_length(config):
@@ -332,36 +317,36 @@ def _suite_configs(suite, scale):
         for m in (10, 100):
             for n in (5, 10, 20, 50, 100):
                 out.append(dict(model="or_null", mode="type1", truth=(1.0, 0.0),
-                                n=n, replicates=reps(10_000), alpha=0.05, m=m))
+                                n=n, replicates=reps(10_000), m=m))
     elif suite == "table2":
         for n in (5, 10, 30, 100, 1000):
             out.append(dict(model="ball", mode="type1", truth=_BALL_BOUNDARY,
-                            n=n, replicates=reps(40_000), alpha=0.05, m=1))
+                            n=n, replicates=reps(40_000), m=1))
     elif suite == "fig1":
         for mu in np.linspace(-0.5, 1.5, 9):
             out.append(dict(model="interval", mode="type1", truth=(float(mu),),
-                            n=20, replicates=reps(10_000), alpha=0.05, m=0))
+                            n=20, replicates=reps(10_000), m=0))
     elif suite == "fig2":
         for n in (5, 10, 20, 50, 200):
             for mu in (0.0, 1.0):
                 out.append(dict(model="interval", mode="type1", truth=(mu,),
-                                n=n, replicates=reps(10_000), alpha=0.05, m=0))
+                                n=n, replicates=reps(10_000), m=0))
     elif suite == "fig3":
         for n in (5, 15, 30, 50, 100, 200):
             out.append(dict(model="nuisance", mode="coverage", truth=(1.0, 2.0),
-                            n=n, replicates=reps(10_000), alpha=0.05, m=50))
+                            n=n, replicates=reps(10_000), m=50))
     elif suite == "fig4":
         for psi in (0.5, 1.0, 1.5):
             for phi in (1.0, 1.5, 2.0, 2.5, 3.0):
                 for n in (5, 10):
                     out.append(dict(model="nuisance", mode="power", truth=(psi, phi),
-                                    n=n, replicates=reps(10_000), alpha=0.05, m=100))
+                                    n=n, replicates=reps(10_000), m=100))
     elif suite == "fig5":
         for mu in (1.05, 1.2, 1.5):
             for n in (5, 10, 30, 100, 200, 1000):
                 out.append(dict(model="ball", mode="power",
                                 truth=(mu, 0.0, 0.0, 0.0, 0.0),
-                                n=n, replicates=reps(10_000), alpha=0.05, m=1))
+                                n=n, replicates=reps(10_000), m=1))
     else:
         raise ValueError("unknown suite %r" % (suite,))
     return out

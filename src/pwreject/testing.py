@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pwreject.alpha_prime import alpha_prime
+from pwreject.alpha_prime import _check_alpha, alpha_prime
 from pwreject.distributions import chi2_cdf, chi2_quantile
 
 __all__ = ["TestDecision", "decide", "rejections", "pointwise_test", "lrt_decision_subspace"]
@@ -63,8 +63,10 @@ def lrt_decision_subspace(neg2_log_lambda, spec, alpha):
     """Traditional likelihood ratio test for a boundaryless null region.
 
     The caller supplies -2 log Lambda(Theta0, Theta1; x); rejection occurs
-    at or above the chi2_{1-alpha, d1-d0} critical value.
+    at or above the chi2_{1-alpha, d1-d0} critical value, which needs
+    alpha in (0, 1).
     """
+    _check_alpha(alpha, 1.0)
     if spec.has_boundary:
         raise ValueError("the traditional LRT applies only to boundaryless nulls")
     if neg2_log_lambda < 0.0:

@@ -213,7 +213,7 @@ def test_criterion_8_nuisance_type1():
         for phi in (1.0, 1.5, 2.0, 2.5, 3.0):
             cfg = ExperimentConfig(
                 model="nuisance", mode="power", truth=(1.0, phi), n=n,
-                replicates=10_000, alpha=0.05, m=100,
+                replicates=10_000, m=100,
                 master_seed=MASTER_SEED + int(10 * phi) + n,
             )
             res = run_experiment(cfg)

@@ -1,5 +1,8 @@
 """Modified-level computation: reference values, defining-equation residuals."""
 
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -111,6 +114,19 @@ class TestDegenerateAndErrors:
             NullSpec(2, 3)
         with pytest.raises(ValueError):
             NullSpec(2, 2)  # full-dimensional without boundary
+
+    @pytest.mark.parametrize("d1, d0, name", [
+        (2.5, 1, "d1"), (2, 0.5, "d0"), (math.nan, 1, "d1"), (2.0, 1, "d1"), ("2", 1, "d1"),
+    ])
+    def test_non_integer_dimension_refused(self, d1, d0, name):
+        # NullSpec(2.5, 1) and NullSpec(2, 0.5) used to give an alpha' of
+        # 0.1242 and 0.0829 at alpha = 0.05.
+        with pytest.raises(TypeError, match="%s must be an integer" % name):
+            NullSpec(d1, d0)
+
+    def test_numpy_integer_dimensions_are_integers(self):
+        spec = NullSpec(np.int64(2), np.uint8(1))
+        assert alpha_prime(0.05, spec) == alpha_prime(0.05, NullSpec(2, 1))
 
 
 def _spec_grid():

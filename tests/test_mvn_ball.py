@@ -229,13 +229,14 @@ SCALAR_TESTS = {
 }
 
 
-def assert_batch_matches_reference(stack, alpha, methods=mb.BATCH_METHODS):
+def assert_batch_matches_reference(stack, alpha):
     """decide_batch against the per-point references.
 
     Every decision must also equal the one-row call of the per-sample test
     on that sample alone.
     """
-    batch = mb.decide_batch(stack, methods, alpha)
+    methods = mb.BATCH_METHODS
+    batch = mb.decide_batch(stack, alpha)
     assert len(batch) == len(methods)
     for got, want, method in zip(batch, reference_decisions(stack, methods, alpha), methods):
         assert got.dtype == bool and got.shape == (len(stack),)
@@ -258,11 +259,17 @@ class TestDecideBatch:
             assert_batch_matches_reference(stack, alpha)
 
     def test_n_one_pointwise_only(self):
+        # One observation: the pointwise test runs; the split tests, and so
+        # the batch, need two.
         stack = ball_stack(1, 50, 1, (1, 0, 0, 0, 0))
-        assert_batch_matches_reference(stack, 0.05, ("pointwise",))
+        (want,) = reference_decisions(stack, ("pointwise",), 0.05)
+        got = [mb.ball_pointwise_test(mb.MvnSample(rows), 0.05).reject for rows in stack]
+        assert got == want.tolist()
         for method in ("split_lrt", "crossfit_lrt"):
             with pytest.raises(ValueError):
-                mb.decide_batch(stack, ("pointwise", method), 0.05)
+                SCALAR_TESTS[method](mb.MvnSample(stack[0]), 0.05)
+        with pytest.raises(ValueError, match="n >= 2"):
+            mb.decide_batch(stack, 0.05)
 
     def test_means_inside_on_and_outside_the_ball(self):
         # Constant rows make each mean exact: head norms 0.5, exactly 1.0
@@ -279,9 +286,11 @@ class TestDecideBatch:
 
     def test_split_decisions_exactly_at_alpha(self):
         # alpha set to each sample's own e-value p-value: the strict rule
-        # must not reject there, and must reject one float above it.
+        # must not reject there, and must reject one float above it.  The
+        # batch also runs the pointwise test, which takes alpha < 1/2.
         stack = ball_stack(7, 30, 9, (2.0, 0, 0, 0, 0))
         for method in ("split_lrt", "crossfit_lrt"):
+            column = mb.BATCH_METHODS.index(method)
             for rows in stack:
                 p = SCALAR_TESTS[method](mb.MvnSample(rows), 0.05).max_p
                 if p == 1.0:
@@ -289,7 +298,11 @@ class TestDecideBatch:
                 for alpha in (p, np.nextafter(p, 1.0)):
                     want = SCALAR_TESTS[method](mb.MvnSample(rows), alpha).reject
                     assert want == (alpha > p)
-                    assert mb.decide_batch(rows[None], (method,), alpha)[0][0] == want
+                    if alpha < 0.5:
+                        assert mb.decide_batch(rows[None], alpha)[column][0] == want
+                    else:
+                        with pytest.raises(ValueError, match=r"\(0, 0.5\) or be 1"):
+                            mb.decide_batch(rows[None], alpha)
 
     def test_statistics_match_per_sample_bit_for_bit(self):
         # A sample's p-values do not depend on the stack around it: each
@@ -311,25 +324,31 @@ class TestDecideBatch:
         with pytest.raises(ValueError):
             mb.MvnSample(stack[1])
         with pytest.raises(ValueError, match="finite"):
-            mb.decide_batch(stack, ("pointwise",), 0.05)
+            mb.decide_batch(stack, 0.05)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            mb.decide_batch(np.zeros((2, 3, 4)), ("pointwise",), 0.05)
+            mb.decide_batch(np.zeros((2, 3, 4)), 0.05)
         with pytest.raises(ValueError):
-            mb.decide_batch(np.zeros((2, 0, 5)), ("pointwise",), 0.05)
-        with pytest.raises(ValueError, match="nope"):
-            mb.decide_batch(np.zeros((2, 3, 5)), ("pointwise", "nope"), 0.05)
-        assert mb.decide_batch(np.zeros((2, 3, 5)), (), 0.05) == []
+            mb.decide_batch(np.zeros((2, 0, 5)), 0.05)
+        # Every method of BATCH_METHODS is decided; there is no method list.
+        hits = mb.decide_batch(np.zeros((2, 3, 5)), 0.05)
+        assert [h.shape for h in hits] == [(2,)] * len(mb.BATCH_METHODS)
+        with pytest.raises(TypeError):
+            mb.decide_batch(np.zeros((2, 3, 5)), mb.BATCH_METHODS, 0.05)
 
     @pytest.mark.parametrize("methods", [("split_lrt",), ("crossfit_lrt",), ("pointwise",)])
     def test_alpha_range(self, methods):
         # The split and cross-fit branch used to reject every sample at alpha = 2.
+        # The batch decides every method; each case reads its method's column.
         stack = ball_stack(3, 4, 6, (1.0, 0, 0, 0, 0))
-        assert len(mb.decide_batch(stack, methods, 1.0)[0]) == 4
+        (method,) = methods
+        hits = mb.decide_batch(stack, 1.0)[mb.BATCH_METHODS.index(method)]
+        assert hits.tolist() == [SCALAR_TESTS[method](mb.MvnSample(rows), 1.0).reject
+                                 for rows in stack]
         for alpha in (2.0, -1.0, 0.0, math.nan):
             with pytest.raises(ValueError, match="significance level must lie in"):
-                mb.decide_batch(stack, methods, alpha)
+                mb.decide_batch(stack, alpha)
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -72,9 +72,8 @@ class TestProxyGrid:
         match = "proxy window width must be positive and finite"
         with pytest.raises(ValueError, match=match):
             nu.proxy_phi_grid(2.0, 25, 4, width)
-        for fn in (nu.psi_region_F, nu.psi_region_LRT):
-            with pytest.raises(ValueError, match=match):
-                fn(make_data(), 0.05, 50, width)
+        with pytest.raises(ValueError, match=match):
+            nu.psi_region_F(make_data(), 0.05, 50, width)
 
 
 def scalar_interval(y, g, thr):
@@ -249,6 +248,16 @@ ONE_CALL_ARGS = {
 }
 
 
+@pytest.mark.parametrize("name", ["psi_region_LRT", "psi_pointwise_test", "psi_lrt_test"])
+def test_only_the_F_region_takes_a_window_width(name):
+    # psi_region_F takes the width for confreg --width; the others use the
+    # default window.
+    with pytest.raises(TypeError, match="width_mult"):
+        getattr(nu, name)(make_data(), *ONE_CALL_ARGS[name], width_mult=5.0)
+    wide = nu.psi_region_F(make_data(), 0.05, 50, width_mult=10.0)
+    assert wide != nu.psi_region_F(make_data(), 0.05, 50)
+
+
 @pytest.mark.parametrize("name", sorted(ONE_CALL_ARGS))
 def test_one_ols_fit_per_call(monkeypatch, name):
     # Each per-dataset function fits its data once: one call of the row
@@ -283,7 +292,7 @@ class TestLevelsAndDegenerateFits:
         x, y = xy_stack(1, 3, 6)
         for mode in ("test", "coverage"):
             with pytest.raises(ValueError, match="psi must be finite"):
-                nu.decide_batch(x, y, mode, ("pointwise", "lrt"), 0.05, 10, psi)
+                nu.decide_batch(x, y, mode, 0.05, 10, psi)
 
     def test_lrt_test_refuses_alpha_one(self):
         with pytest.raises(ValueError, match=r"significance level must lie in \(0, 1\), got 1.0"):
@@ -297,11 +306,26 @@ class TestLevelsAndDegenerateFits:
         ("coverage", ("pointwise",)), ("coverage", ("lrt",)), ("test", ("pointwise", "lrt")),
     ])
     def test_batch_refuses_alpha_one(self, mode, methods):
+        # Both regions, and the LRT cut-off, are quantiles at 1 - alpha, so
+        # their one-row calls refuse alpha = 1; the pointwise test takes it
+        # and rejects.  The batch decides both methods, so it refuses.
         x, y = xy_stack(1, 3, 6)
-        with pytest.raises(ValueError, match=r"significance level must lie in \(0, 1\), got 1.0"):
-            nu.decide_batch(x, y, mode, methods, 1.0, 10, 1.0)
-        hits, _ = nu.decide_batch(x, y, "test", ("pointwise",), 1.0, 10, 1.0)
-        assert hits[0].tolist() == [True] * 3
+        match = r"significance level must lie in \(0, 1\), got 1.0"
+        with pytest.raises(ValueError, match=match):
+            nu.decide_batch(x, y, mode, 1.0, 10, 1.0)
+        one_row = {
+            ("coverage", "pointwise"): lambda d: nu.psi_region_F(d, 1.0, 10),
+            ("coverage", "lrt"): lambda d: nu.psi_region_LRT(d, 1.0, 10),
+            ("test", "lrt"): lambda d: nu.psi_lrt_test(d, 1.0, 1.0, 10),
+        }
+        for row in range(len(x)):
+            data = nu.XYData(x[row], y[row])
+            for method in methods:
+                if (mode, method) == ("test", "pointwise"):
+                    assert nu.psi_pointwise_test(data, 1.0, 1.0, 10).reject
+                else:
+                    with pytest.raises(ValueError, match=match):
+                        one_row[mode, method](data)
 
     @pytest.mark.parametrize("name", sorted(ONE_CALL_ARGS))
     def test_degenerate_fit_messages(self, name):
@@ -345,13 +369,13 @@ class TestSingularFit:
         data = list(self.datasets(kind, 40, n=17))
         x, y = np.stack([d.x for d in data]), np.stack([d.y for d in data])
         for mode in ("coverage", "test"):
-            hits, flagged = nu.decide_batch(x, y, mode, nu.BATCH_METHODS, 0.05, 20, 1.0)
+            hits, flagged = nu.decide_batch(x, y, mode, 0.05, 20, 1.0)
             assert flagged.all() and not any(h.any() for h in hits)
 
     def test_suite_data_is_far_from_singular(self):
         # Noisy data keeps its fit: the relative test flags nothing here.
         x, y = xy_stack(21, 400, 5)
-        _, flagged = nu.decide_batch(x, y, "test", nu.BATCH_METHODS, 0.05, 20, 1.0)
+        _, flagged = nu.decide_batch(x, y, "test", 0.05, 20, 1.0)
         assert not flagged.any()
 
 
@@ -383,9 +407,8 @@ class TestConstantCovariate:
     def test_batch_flags_the_row(self, mode):
         x, y = xy_stack(9, 4, 7)
         x[2] = 0.1
-        hits, flagged = nu.decide_batch(x, y, mode, nu.BATCH_METHODS, 0.05, 20, 1.0)
-        kept, none_flagged = nu.decide_batch(x[[0, 1, 3]], y[[0, 1, 3]], mode, nu.BATCH_METHODS,
-                                             0.05, 20, 1.0)
+        hits, flagged = nu.decide_batch(x, y, mode, 0.05, 20, 1.0)
+        kept, none_flagged = nu.decide_batch(x[[0, 1, 3]], y[[0, 1, 3]], mode, 0.05, 20, 1.0)
         assert flagged.tolist() == [False, False, True, False] and not none_flagged.any()
         assert [h[[0, 1, 3]].tolist() for h in hits] == [h.tolist() for h in kept]
         assert not any(h[2] for h in hits)
@@ -438,14 +461,15 @@ def reference_decision(data, mode, method, alpha, m, psi):
     return stat <= chi2_quantile(1.0 - alpha, 2)
 
 
-def assert_batch_matches_reference(x, y, mode, alpha, m, psi, methods=nu.BATCH_METHODS):
+def assert_batch_matches_reference(x, y, mode, alpha, m, psi):
     """decide_batch against the per-point reference; returns the hits of
     the rows it does not flag.
 
     The hits must also equal the one-row calls of the per-dataset
     functions on each dataset alone, and a flagged row hits for no method.
     """
-    row_hits, flag = nu.decide_batch(x, y, mode, methods, alpha, m, psi)
+    methods = nu.BATCH_METHODS
+    row_hits, flag = nu.decide_batch(x, y, mode, alpha, m, psi)
     assert flag.dtype == np.dtype(bool) and flag.shape == (len(x),)
     assert [h.shape for h in row_hits] == [(len(x),)] * len(methods)
     assert not any(h[flag].any() for h in row_hits)
@@ -502,10 +526,10 @@ class TestDecideBatch:
         # the null residuals and their squares share one buffer, so the
         # traced peak stays below two such tensors (it was over three).
         x, y = xy_stack(4, 75, 10)
-        nu.decide_batch(x, y, "test", nu.BATCH_METHODS, 0.05, 100, 1.0)
+        nu.decide_batch(x, y, "test", 0.05, 100, 1.0)
         tracemalloc.start()
         try:
-            nu.decide_batch(x, y, "test", nu.BATCH_METHODS, 0.05, 100, 1.0)
+            nu.decide_batch(x, y, "test", 0.05, 100, 1.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -520,8 +544,7 @@ class TestDecideBatch:
             region = nu.psi_region_F(nu.XYData(x_row, y_row), 0.05, 9)
             for lo, hi in region:
                 for psi in (lo, hi, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)):
-                    hits, _ = nu.decide_batch(x_row[None], y_row[None], "coverage",
-                                              ("pointwise",), 0.05, 9, psi)
+                    hits, _ = nu.decide_batch(x_row[None], y_row[None], "coverage", 0.05, 9, psi)
                     assert hits[0][0] == region.contains(psi)
 
     def test_flat_rows_match_region(self):
@@ -554,10 +577,10 @@ class TestDecideBatch:
                 nu.fit_psi_phi(nu.XYData(x[row], y[row]))
         hits = assert_batch_matches_reference(x, y, mode, 0.05, 20, 1.0)
         assert [len(h) for h in hits] == [2, 2]
-        kept, flagged = nu.decide_batch(x[[0, 4]], y[[0, 4]], mode, nu.BATCH_METHODS, 0.05, 20, 1.0)
+        kept, flagged = nu.decide_batch(x[[0, 4]], y[[0, 4]], mode, 0.05, 20, 1.0)
         assert not flagged.any()
         assert [h.tolist() for h in kept] == [h.tolist() for h in hits]
-        everything, flagged = nu.decide_batch(x[1:4], y[1:4], mode, nu.BATCH_METHODS, 0.05, 20, 1.0)
+        everything, flagged = nu.decide_batch(x[1:4], y[1:4], mode, 0.05, 20, 1.0)
         assert flagged.all() and [h.tolist() for h in everything] == [[False] * 3] * 2
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -568,23 +591,26 @@ class TestDecideBatch:
             with pytest.raises(ValueError):
                 nu.XYData(arrays[0][1], arrays[1][1])
             with pytest.raises(ValueError, match="finite"):
-                nu.decide_batch(*arrays, "coverage", ("pointwise",), 0.05, 10, 1.0)
+                nu.decide_batch(*arrays, "coverage", 0.05, 10, 1.0)
 
     def test_validation(self):
         x, y = xy_stack(0, 2, 5)
         for args in (
-            (x, y[:, :4], "coverage", ("pointwise",), 0.05, 10, 1.0),
-            (x[0], y[0], "coverage", ("pointwise",), 0.05, 10, 1.0),
-            (x[:, :2], y[:, :2], "coverage", ("pointwise",), 0.05, 10, 1.0),
-            (x, y, "power", ("pointwise",), 0.05, 10, 1.0),
-            (x, y, "test", ("pointwise", "nope"), 0.05, 10, 1.0),
-            (x, y, "test", ("pointwise",), 0.05, 0, 1.0),
-            (x, y, "test", ("pointwise",), 1.5, 10, 1.0),
+            (x, y[:, :4], "coverage", 0.05, 10, 1.0),
+            (x[0], y[0], "coverage", 0.05, 10, 1.0),
+            (x[:, :2], y[:, :2], "coverage", 0.05, 10, 1.0),
+            (x, y, "power", 0.05, 10, 1.0),
+            (x, y, "test", 0.05, 0, 1.0),
+            (x, y, "test", 1.5, 10, 1.0),
         ):
             with pytest.raises(ValueError):
                 nu.decide_batch(*args)
-        hits, flagged = nu.decide_batch(x, y, "test", (), 0.05, 10, 1.0)
-        assert hits == [] and flagged.tolist() == [False, False]
+        # Both methods of BATCH_METHODS are decided; there is no method list.
+        hits, flagged = nu.decide_batch(x, y, "test", 0.05, 10, 1.0)
+        assert [h.shape for h in hits] == [(2,)] * len(nu.BATCH_METHODS)
+        assert flagged.tolist() == [False, False]
+        with pytest.raises(TypeError):
+            nu.decide_batch(x, y, "test", nu.BATCH_METHODS, 0.05, 10, 1.0)
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -1,5 +1,7 @@
 """Region1D algebra."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,8 +32,22 @@ class TestRegion1D:
         assert not r and list(r) == [] and not r.contains(0.0)
 
     def test_bad_interval(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="out of order"):
             Region1D([(2, 1)])
+
+    @pytest.mark.parametrize("raw", [
+        [(math.nan, 1.0)], [(0.0, math.nan)], [(1.0, math.nan), (0.0, 2.0)], [(math.nan, math.nan)],
+    ])
+    def test_nan_endpoint_refused(self, raw):
+        # Region1D([(1.0, nan), (0.0, 2.0)]) used to return ((0.0, 2.0),).
+        with pytest.raises(ValueError, match="nan"):
+            Region1D(raw)
+
+    def test_infinite_endpoints_are_legal(self):
+        whole = Region1D([(-math.inf, math.inf)])
+        assert whole.contains(-1e308) and whole.contains(0.0)
+        assert Region1D([(1.0, math.inf), (-math.inf, -1.0)]).intervals == (
+            (-math.inf, -1.0), (1.0, math.inf))
 
     def test_union(self):
         a = Region1D([(0, 1)])

@@ -25,7 +25,7 @@ from test_mvn_ball import reference_decisions
 def config(**overrides):
     base = dict(
         model="interval", mode="type1", truth=(0.0,), n=10, replicates=200,
-        alpha=0.05, m=0, master_seed=123,
+        m=0, master_seed=123,
     )
     base.update(overrides)
     return ExperimentConfig(**base)
@@ -50,13 +50,15 @@ class TestRunExperiment:
         b = run_experiment(config(truth=(1.0,), master_seed=124))
         assert a.rates != b.rates
 
-    def test_alpha_one_rejects_every_replicate(self):
+    def test_alpha_one_rejects_every_replicate(self, monkeypatch):
+        # Every model decides at the harness's level, simulation._ALPHA.
+        monkeypatch.setattr(simulation, "_ALPHA", 1.0)
         for kwargs in (
             dict(model="interval", truth=(0.3,)),
             dict(model="or_null", truth=(1.0, 0.0), m=10),
             dict(model="ball", truth=(0, 0, 0, 0, 0), m=1),
         ):
-            res = run_experiment(config(alpha=1.0, replicates=50, **kwargs))
+            res = run_experiment(config(replicates=50, **kwargs))
             assert res.rates["pointwise"] == 1.0
 
     def test_margin_uses_effective_count(self):
@@ -97,12 +99,6 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             config(model="or_null", truth=(1.0, 0.0), n=3)
 
-    @pytest.mark.parametrize("alpha", [2.0, -1.0, 0.0, 1.5, math.nan])
-    def test_alpha_outside_unit_interval_refused(self, alpha):
-        # An interval bonferroni run at alpha = 2 used to report a rate of 1.0.
-        with pytest.raises(ValueError, match="significance level must lie in"):
-            config(alpha=alpha)
-
     def test_m_must_label_the_test_that_runs(self):
         # or_null runs m / 2 test points per boundary arm; m = 0, 1, 2 and 3
         # all used to run the same 2-point test under different m labels.
@@ -115,39 +111,6 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="m >= 1"):
             config(m=0, **nuisance_kw)
         assert config(m=1, **nuisance_kw).m == 1
-
-    @pytest.mark.parametrize("model, truth, m", [
-        ("interval", (0.0,), 0),
-        ("or_null", (1.0, 0.0), 10),
-        ("ball", (1, 0, 0, 0, 0), 1),
-        ("nuisance", (1.0, 2.0), 10),
-    ])
-    def test_alpha_the_method_refuses_is_refused_at_construction(self, model, truth, m):
-        # The pointwise tests of the three nulls with boundary take alpha in
-        # (0, 1/2) or alpha = 1; run_experiment used to accept alpha = 0.7
-        # and then raise at the first block.  The nuisance null has no
-        # boundary, and its methods take alpha up to 1.
-        kwargs = dict(model=model, truth=truth, m=m, n=6, replicates=5)
-        methods = set(config(**kwargs).methods)
-        if model == "nuisance":
-            res = run_experiment(config(alpha=0.7, **kwargs))
-            assert set(res.rates) == methods
-        else:
-            with pytest.raises(ValueError, match=r"must lie in \(0, 0.5\) or be 1, got 0.7"):
-                config(alpha=0.7, **kwargs)
-        res = run_experiment(config(alpha=0.49, **kwargs))
-        assert set(res.rates) == methods
-        if model != "nuisance":
-            res = run_experiment(config(alpha=1.0, **kwargs))
-            assert set(res.rates) == methods and res.rates["pointwise"] == 1.0
-
-    def test_nuisance_alpha_one_refused(self):
-        # The nuisance regions and LRT cut-off are quantiles at 1 - alpha:
-        # alpha = 1 used to pass construction and raise at the first block.
-        kwargs = dict(model="nuisance", truth=(1.0, 2.0), m=10, n=6, replicates=5, alpha=1.0)
-        for mode in ("power", "coverage"):
-            with pytest.raises(ValueError, match=r"must lie in \(0, 1\), got 1.0"):
-                config(mode=mode, **kwargs)
 
     @pytest.mark.parametrize("model, truth, m", [
         ("interval", (0.5,), 0),
@@ -193,10 +156,12 @@ class TestRunExperiment:
         assert cfg.methods == methods
         assert tuple(run_experiment(cfg).rates) == methods
 
-    @pytest.mark.parametrize("keyword, value", [("methods", ("pointwise",)), ("psi0", 1.0)])
+    @pytest.mark.parametrize("keyword, value", [
+        ("methods", ("pointwise",)), ("psi0", 1.0), ("alpha", 0.05),
+    ])
     def test_methods_and_psi0_are_not_settings(self, keyword, value):
-        # Every setting runs all of its model's methods, and the nuisance
-        # tests test psi0 = 1.
+        # Every setting runs all of its model's methods at alpha = 0.05,
+        # and the nuisance tests test psi0 = 1.
         with pytest.raises(TypeError, match=keyword):
             config(model="nuisance", truth=(1.0, 2.0), m=10, **{keyword: value})
 
@@ -220,7 +185,7 @@ class TestBlocks:
         # (test_mvn_ball.reference_decisions).
         cfg = config(replicates=40, n=6, **self.BALL)
         draws = [simulation._stack([cfg], r, 1)[0][0] for r in range(cfg.replicates)]
-        counts = [int(d.sum()) for d in reference_decisions(draws, cfg.methods, cfg.alpha)]
+        counts = [int(d.sum()) for d in reference_decisions(draws, cfg.methods, 0.05)]
         res = run_experiment(cfg)
         assert [res.rates[m] for m in cfg.methods] == [c / 40 for c in counts]
 
@@ -298,7 +263,7 @@ class TestBlocks:
         for r in range(cfg.replicates):
             columns = simulation._stack([cfg], r, 1)
             data = linear_or.RegressionData(*(column[0] for column in columns))
-            rejects += reference_decision(data, cfg.alpha, cfg.m // 2).reject
+            rejects += reference_decision(data, 0.05, cfg.m // 2).reject
         assert 0 < rejects < cfg.replicates
         assert run_experiment(cfg).rates == {"pointwise": rejects / cfg.replicates}
 
@@ -393,7 +358,7 @@ class TestGroups:
             return [~flagged, np.arange(12) == 8], flagged
 
         monkeypatch.setattr(nuisance, "decide_batch", fake)
-        base = dict(model="nuisance", mode="power", n=5, m=10, alpha=0.05)
+        base = dict(model="nuisance", mode="power", n=5, m=10)
         configs = [ExperimentConfig(truth=(psi, 2.0), replicates=r, master_seed=seed, **base)
                    for psi, r, seed in ((0.5, 4, 1), (1.0, 3, 2), (1.5, 5, 3))]
         results = simulation._run_settings(configs)

@@ -91,6 +91,13 @@ class TestLrtHelper:
         with pytest.raises(ValueError):
             lrt_decision_subspace(-0.1, NullSpec(5, 3), 0.05)
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1, math.nan])
+    def test_bad_level_is_named_as_a_level(self, alpha):
+        # The message was about the probability 1 - alpha ("got -0.5" at
+        # alpha = 1.5), and nan was not refused at all.
+        with pytest.raises(ValueError, match=r"significance level must lie in \(0, 1\), got "):
+            lrt_decision_subspace(1.0, NullSpec(5, 3), alpha)
+
     def test_pvalue_matches_chi2(self):
         spec = NullSpec(5, 3)
         stat = 3.3
