@@ -10,6 +10,10 @@ alpha' depends only on (alpha, NullSpec), never on the data, so both
 formulas are memoized per process: the first call for a given level and
 geometry computes it, later calls return the stored value.  A call that
 raises is not stored, so an invalid level raises on every call.
+
+A level is legal where its critical value exists: alpha in (0, 1/2) for a
+null with a boundary, alpha in (0, 1) for one without.  alpha = 1 is
+refused, and so is a level at or below 2**-54, where 1 - alpha rounds to 1.
 """
 
 import functools
@@ -55,12 +59,9 @@ def alpha_prime_no_boundary(alpha, spec):
     """alpha' for a null region that is a manifold without boundary.
 
     Chosen so the chi2_{d1} critical value at level alpha' coincides with
-    the chi2_{d1-d0} critical value at level alpha.  alpha == 1 is allowed
-    as the degenerate limit alpha' = 1 (every replicate rejects).
+    the chi2_{d1-d0} critical value at level alpha, for alpha in (0, 1).
     """
     _check_level(alpha)
-    if alpha == 1.0:
-        return 1.0
     if spec.has_boundary:
         raise ValueError("spec has a boundary; use alpha_prime_with_boundary")
     if spec.d0 == 0:
@@ -80,14 +81,15 @@ def alpha_prime_with_boundary(alpha, spec):
 
     with dg = d1 - d0, then maps q back to alpha'.  When d0 = d1 the first
     term is identically one and the closed form alpha' =
-    1 - F_{chi2_{d1}}(chi2_{1-2*alpha, 1}) applies.  alpha >= 1/2 has no
-    solution, except the degenerate limit alpha == 1 -> alpha' = 1.
+    1 - F_{chi2_{d1}}(chi2_{1-2*alpha, 1}) applies; it is 2 * alpha exactly
+    at d1 = 1.  alpha >= 1/2 has no solution.
     """
     _check_level(alpha, 0.5)
-    if alpha == 1.0:
-        return 1.0
     if not spec.has_boundary:
         raise ValueError("spec has no boundary; use alpha_prime_no_boundary")
+    if spec.d0 == spec.d1 == 1:
+        # The quantile and CDF cancel exactly when the null is an interval.
+        return 2.0 * alpha
     if spec.d0 == spec.d1:
         q = chi2_quantile(1.0 - 2.0 * alpha, 1)
         return 1.0 - chi2_cdf(q, spec.d1)
@@ -141,15 +143,9 @@ def _check_integers(obj, *names):
             raise TypeError("%s must be an integer, got %r" % (name, value)) from None
 
 
-def _check_alpha(alpha, upper):
-    if not 0.0 < alpha < upper:
-        raise ValueError(
-            "significance level must lie in (0, %g), got %r" % (upper, alpha)
-        )
-
-
 def _check_level(alpha, upper=1.0):
-    """Refuse a level outside (0, upper); alpha == 1 is the legal degenerate level."""
-    if alpha != 1.0 and not 0.0 < alpha < upper:
-        allowed = "(0, 1]" if upper == 1.0 else "(0, %g) or be 1" % (upper,)
-        raise ValueError("significance level must lie in %s, got %r" % (allowed, alpha))
+    """Refuse a level outside (0, upper), or at or below 2**-54, where 1 - alpha rounds to 1."""
+    if not 0.0 < alpha < upper:
+        raise ValueError("significance level must lie in (0, %g), got %r" % (upper, alpha))
+    if alpha <= 2.0 ** -54:
+        raise ValueError("significance level must lie in (2**-54, %g), got %r" % (upper, alpha))

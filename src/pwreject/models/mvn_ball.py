@@ -138,14 +138,16 @@ def decide_batch(stack, alpha):
     of length B per name in ``BATCH_METHODS``, in that order, and entry b
     equals the ``reject`` of the matching per-sample test on
     ``MvnSample(stack[b])``, which reads the same p-values from a one-row
-    stack.
+    stack.  ``alpha`` must lie in (0, 1/2), because the batch always runs
+    the pointwise test, whose alpha' needs it; ``split_lrt_test`` and
+    ``cross_fit_lrt_test`` alone take alpha in (0, 1).
     """
+    _check_level(alpha, 0.5)
     stack = np.asarray(stack, dtype=float)
     if stack.ndim != 3 or stack.shape[2] != DIM or stack.shape[1] < 2:
         raise ValueError("need a (B, n, 5) stack with n >= 2")
     if not np.isfinite(stack).all():
         raise ValueError("observations must be finite (no nan or inf)")
-    _check_level(alpha)
     p = _p_value_rows(stack, BATCH_METHODS)
     return [
         rejections(p[m], BALL_SPEC, alpha) if m == "pointwise" else np.array(p[m]) < alpha

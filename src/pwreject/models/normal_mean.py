@@ -2,10 +2,13 @@
 
 Tests H0: mu in [a, b] by pointwise rejection with two-tailed t-tests.
 Over the continuum of test points the procedure collapses to a closed
-form: reject when the sample mean falls outside the interval widened by
-t_{1-alpha, n-1} * s / sqrt(n) on each side (alpha' = 2 * alpha since the
-null is a full-dimensional manifold with boundary, d1 = d0 = 1).  The
-Bonferroni baseline splits alpha over the two one-sided tests.
+form: the max p-value is the t-test's at the null point nearest the
+sample mean, and :func:`pwreject.testing.decide` compares it with alpha'.
+The null is a full-dimensional manifold with boundary (d1 = d0 = 1), so
+alpha' = 2 * alpha and alpha must lie in (0, 1/2); the test rejects when
+the sample mean falls outside the interval widened by
+t_{1-alpha, n-1} * s / sqrt(n) on each side.  The Bonferroni baseline
+splits alpha over the two one-sided tests and takes alpha in (0, 1).
 """
 
 import functools
@@ -14,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pwreject.alpha_prime import _check_level
+from pwreject.alpha_prime import NullSpec, _check_level
 from pwreject.distributions import t_cdf, t_quantile
-from pwreject.testing import TestDecision
+from pwreject.testing import TestDecision, decide
 
 __all__ = [
     "UnivariateSample",
@@ -24,6 +27,8 @@ __all__ = [
     "interval_null_test",
     "bonferroni_interval_test",
 ]
+
+NULL_SPEC = NullSpec(d1=1, d0=1, has_boundary=True)
 
 
 class DegenerateSampleError(ValueError):
@@ -95,17 +100,9 @@ def _check_interval(a, b):
 
 
 def interval_null_test(sample, a, b, alpha):
-    """Pointwise-rejection test of H0: mu in [a, b] in closed form.
-
-    alpha' = 2 * alpha needs 0 < alpha < 1/2; alpha == 1 is the degenerate
-    limit alpha' = 1, as in
-    :func:`pwreject.alpha_prime.alpha_prime_with_boundary`.
-    """
+    """Pointwise-rejection test of H0: mu in [a, b] in closed form."""
     _check_interval(a, b)
-    _check_level(alpha, 0.5)
-    ap = 1.0 if alpha == 1.0 else 2.0 * alpha
-    max_p = _max_interval_p(sample, a, b)
-    return TestDecision(max_p <= ap, max_p, ap, 0)
+    return decide(_max_interval_p(sample, a, b), NULL_SPEC, alpha, 0)
 
 
 def bonferroni_interval_test(sample, a, b, alpha):

@@ -16,6 +16,9 @@ Carlo harness calls.  The per-dataset tests and regions are one-row calls
 of them that read their own method's values.  The reference they are
 checked against is :func:`pwreject.testing.pointwise_test` over the proxy
 grid with :func:`f_stat_p_value`, and :func:`ols_line_fit` for the fit.
+
+Every test and region takes alpha in (0, 1), where both the pointwise
+alpha' (the null has no boundary) and the LRT's chi-square cutoff exist.
 """
 
 import math
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pwreject.alpha_prime import NullSpec, _check_alpha, alpha_prime
+from pwreject.alpha_prime import NullSpec, _check_level, alpha_prime
 from pwreject.distributions import chi2_cdf, chi2_quantile, f_cdf, f_quantile
 from pwreject.regions import Region1D
 from pwreject.testing import TestDecision, decide, rejections
@@ -226,14 +229,13 @@ def _lrt_stat(min_rss_null, rss_alt, n):
 
 
 def _lrt_cutoff(alpha):
-    # A quantile at 1 - alpha has no alpha == 1 limit.
-    _check_alpha(alpha, 1.0)
+    _check_level(alpha)
     return chi2_quantile(1.0 - alpha, 1)
 
 
 def _region_rss_factor(method, alpha, n):
     """The factor with RSS_null <= RSS_alt * factor  <=>  psi0 is in the method's region."""
-    _check_alpha(alpha, 1.0)
+    _check_level(alpha)
     if method == "pointwise":
         f_threshold = f_quantile(1.0 - alpha_prime(alpha, NULL_SPEC), 2, n - 2)
     else:

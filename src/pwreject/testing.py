@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pwreject.alpha_prime import _check_alpha, alpha_prime
+from pwreject.alpha_prime import _check_level, alpha_prime
 from pwreject.distributions import chi2_cdf, chi2_quantile
 
 __all__ = ["TestDecision", "decide", "rejections", "pointwise_test", "lrt_decision_subspace"]
@@ -66,7 +66,7 @@ def lrt_decision_subspace(neg2_log_lambda, spec, alpha):
     at or above the chi2_{1-alpha, d1-d0} critical value, which needs
     alpha in (0, 1).
     """
-    _check_alpha(alpha, 1.0)
+    _check_level(alpha)
     if spec.has_boundary:
         raise ValueError("the traditional LRT applies only to boundaryless nulls")
     if neg2_log_lambda < 0.0:

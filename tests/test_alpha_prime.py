@@ -16,6 +16,9 @@ from pwreject.alpha_prime import (
     boundary_balance_residual,
 )
 from pwreject.distributions import chi2_cdf, chi2_quantile
+from pwreject.models import nuisance as nu
+from pwreject.testing import lrt_decision_subspace
+from test_nuisance import make_data
 
 
 class TestReferenceValues:
@@ -68,8 +71,11 @@ class TestDefiningEquations:
 
 class TestDegenerateAndErrors:
     def test_alpha_one_is_one(self):
-        assert alpha_prime(1.0, NullSpec(2, 1)) == 1.0
-        assert alpha_prime(1.0, NullSpec(2, 2, has_boundary=True)) == 1.0
+        # alpha = 1 used to be the degenerate level alpha' = 1; it is refused.
+        with pytest.raises(ValueError, match=r"must lie in \(0, 1\), got 1.0"):
+            alpha_prime(1.0, NullSpec(2, 1))
+        with pytest.raises(ValueError, match=r"must lie in \(0, 0.5\), got 1.0"):
+            alpha_prime(1.0, NullSpec(2, 2, has_boundary=True))
 
     def test_boundary_alpha_domain(self):
         with pytest.raises(ValueError):
@@ -78,28 +84,60 @@ class TestDegenerateAndErrors:
             alpha_prime_with_boundary(0.0, NullSpec(2, 2, has_boundary=True))
 
     def test_level_check_states_the_legal_range(self):
-        # alpha == 1 is legal, so the range is half-open: (0, 1], not (0, 1).
         with pytest.raises(ValueError) as err:
             _check_level(2.0)
-        assert str(err.value) == "significance level must lie in (0, 1], got 2.0"
+        assert str(err.value) == "significance level must lie in (0, 1), got 2.0"
         with pytest.raises(ValueError) as err:
             _check_level(0.7, 0.5)
-        assert str(err.value) == "significance level must lie in (0, 0.5) or be 1, got 0.7"
-        for alpha, upper in ((1.0, 1.0), (1.0, 0.5), (0.3, 0.5), (0.7, 1.0)):
+        assert str(err.value) == "significance level must lie in (0, 0.5), got 0.7"
+        with pytest.raises(ValueError) as err:
+            _check_level(2.0 ** -54, 0.5)
+        assert str(err.value) == "significance level must lie in (2**-54, 0.5), got %r" % 2.0 ** -54
+        for alpha, upper in ((1.0, 1.0), (1.0, 0.5), (0.5, 0.5), (5e-324, 1.0)):
+            with pytest.raises(ValueError, match="significance level must lie in"):
+                _check_level(alpha, upper)
+        for alpha, upper in ((0.3, 0.5), (0.7, 1.0), (math.nextafter(2.0 ** -54, 1.0), 0.5)):
             _check_level(alpha, upper)
 
-    @pytest.mark.parametrize("alpha", [0.7, 0.5, 1.5, 0.0, -1.0])
+    @pytest.mark.parametrize("alpha", [0.7, 0.5, 1.5, 0.0, -1.0, 1.0])
     def test_alpha_prime_messages_state_the_legal_set(self, alpha):
-        # 1 is legal, so 0.7 used to read "must lie in (0, 0.5)" wrongly.
         boundary = NullSpec(2, 2, has_boundary=True)
         with pytest.raises(ValueError) as err:
             alpha_prime_with_boundary(alpha, boundary)
-        assert str(err.value) == "significance level must lie in (0, 0.5) or be 1, got %r" % alpha
+        assert str(err.value) == "significance level must lie in (0, 0.5), got %r" % alpha
         if not 0.0 < alpha < 1.0:
             with pytest.raises(ValueError) as err:
                 alpha_prime_no_boundary(alpha, NullSpec(2, 1))
-            assert str(err.value) == "significance level must lie in (0, 1], got %r" % alpha
-        assert alpha_prime_with_boundary(1.0, boundary) == alpha_prime_no_boundary(1.0, NullSpec(2, 1)) == 1.0
+            assert str(err.value) == "significance level must lie in (0, 1), got %r" % alpha
+
+    @pytest.mark.parametrize("alpha", [1e-17, 5e-324])
+    def test_tiny_level_is_named_as_a_level(self, alpha):
+        # At or below 2**-54, 1 - alpha rounds to 1.0, and these calls used
+        # to raise "probability must lie in (0, 1), got 1.0".
+        data = make_data()
+        for call in (
+            lambda: alpha_prime(alpha, NullSpec(2, 1)),
+            lambda: lrt_decision_subspace(1.0, NullSpec(5, 3), alpha),
+            lambda: nu.psi_lrt_test(data, 1.0, alpha, 10),
+            lambda: nu.psi_region_F(data, alpha, 50),
+            lambda: nu.psi_region_LRT(data, alpha, 50),
+        ):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == "significance level must lie in (2**-54, 1), got %r" % alpha
+
+    def test_smallest_legal_level(self):
+        alpha = math.nextafter(2.0 ** -54, 1.0)
+        assert 1.0 - alpha < 1.0
+        assert alpha_prime(alpha, NullSpec(2, 0)) == alpha
+
+    def test_interval_alpha_prime_is_exactly_twice_alpha(self):
+        # The quantile and CDF cancel at d1 = d0 = 1; numerically they left
+        # 0.10000000000000153 at alpha = 0.05.
+        interval = NullSpec(1, 1, has_boundary=True)
+        for alpha in (math.nextafter(2.0 ** -54, 1.0), 1e-10, 0.001, 0.01, 0.025, 0.05,
+                      0.1, 0.25, 0.4, math.nextafter(0.5, 0.0)):
+            assert alpha_prime_with_boundary(alpha, interval) == 2.0 * alpha
 
     def test_dispatch_mismatch(self):
         with pytest.raises(ValueError):

@@ -47,6 +47,23 @@ def nuisance_csv(tmp_path):
     return write_csv(tmp_path / "nu.csv", ["x", "y"], list(zip(x, y)))
 
 
+def every_model_csv(tmp_path):
+    """A small dataset file per model, keyed by the model name."""
+    g = RngStream(3).generator
+    n = 12
+    x = g.standard_normal((n, 2))
+    datasets = {
+        "interval": (["y"], g.standard_normal((n, 1))),
+        "or_null": (["x1", "x2", "y"],
+                    np.column_stack([x, x @ [1.0, 2.0] + g.standard_normal(n)])),
+        "nuisance": (["x", "y"],
+                     np.column_stack([x[:, 0], 2.0 * x[:, 0] + 4.0 + g.standard_normal(n)])),
+        "ball": (["y1", "y2", "y3", "y4", "y5"], g.standard_normal((n, 5))),
+    }
+    return {model: write_csv(tmp_path / (model + ".csv"), header, rows.tolist())
+            for model, (header, rows) in datasets.items()}
+
+
 class TestAlphaPrime:
     def test_value(self, capsys):
         assert main(["alpha-prime", "--alpha", "0.05", "--d1", "2", "--d0", "1"]) == 0
@@ -62,6 +79,20 @@ class TestAlphaPrime:
     def test_invalid_geometry_exits_2(self, capsys):
         assert main(["alpha-prime", "--alpha", "0.05", "--d1", "2", "--d0", "2"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_interval_geometry_doubles_alpha(self, capsys):
+        assert main(["alpha-prime", "--alpha", "0.05", "--d1", "1", "--d0", "1", "--boundary"]) == 0
+        assert capsys.readouterr().out == "0.1000000000\n"
+
+    @pytest.mark.parametrize("geometry, upper", [
+        (["--d1", "2", "--d0", "1"], "1"), (["--d1", "2", "--d0", "2", "--boundary"], "0.5"),
+    ])
+    def test_alpha_one_exits_2(self, capsys, geometry, upper):
+        # alpha = 1 used to print alpha' = 1.0000000000.
+        assert main(["alpha-prime", "--alpha", "1", *geometry]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: significance level must lie in (0, %s), got 1.0\n" % upper
 
 
 class TestTestCommand:
@@ -91,19 +122,7 @@ class TestTestCommand:
         assert payload["reject"] is False and payload["max_p"] == pytest.approx(1.0)
 
     def test_json_output_every_model(self, tmp_path, capsys):
-        g = RngStream(3).generator
-        n = 12
-        x = g.standard_normal((n, 2))
-        datasets = {
-            "interval": (["y"], g.standard_normal((n, 1))),
-            "or_null": (["x1", "x2", "y"],
-                        np.column_stack([x, x @ [1.0, 2.0] + g.standard_normal(n)])),
-            "nuisance": (["x", "y"],
-                         np.column_stack([x[:, 0], 2.0 * x[:, 0] + 4.0 + g.standard_normal(n)])),
-            "ball": (["y1", "y2", "y3", "y4", "y5"], g.standard_normal((n, 5))),
-        }
-        for model, (header, rows) in datasets.items():
-            path = write_csv(tmp_path / (model + ".csv"), header, rows.tolist())
+        for model, path in every_model_csv(tmp_path).items():
             assert main(["test", "--model", model, "--data", path, "--format", "json"]) == 0
             payload = json.loads(capsys.readouterr().out)
             assert payload["model"] == model
@@ -141,7 +160,17 @@ class TestTestCommand:
                      "--alpha", "0.7"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: significance level must lie in (0, 0.5) or be 1, got 0.7\n"
+        assert captured.err == "error: significance level must lie in (0, 0.5), got 0.7\n"
+
+    def test_alpha_one_exits_2_for_every_model(self, tmp_path, capsys):
+        # alpha = 1 used to reject every dataset, except in the nuisance model.
+        upper = {"interval": "0.5", "or_null": "0.5", "nuisance": "1", "ball": "0.5"}
+        for model, path in every_model_csv(tmp_path).items():
+            assert main(["test", "--model", model, "--data", path, "--alpha", "1"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == ("error: significance level must lie in (0, %s), got 1.0\n"
+                                    % upper[model])
 
     @pytest.mark.parametrize("model, option, message", [
         ("interval", "--a", "interval endpoints must not be nan"),

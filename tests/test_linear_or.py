@@ -106,8 +106,11 @@ class TestOrNullTest:
         assert not dec.reject and dec.max_p == 1.0 and dec.n_points == 0
 
     def test_alpha_one_rejects_even_inside_null(self):
+        # alpha = 1 used to be the degenerate level alpha' = 1, which
+        # rejected even inside the null; it is refused now.
         data = make_data(seed=1, b1=-1.0, b2=0.5)
-        assert lo.or_null_test(data, 1.0, 5).reject
+        with pytest.raises(ValueError, match=r"must lie in \(0, 0.5\), got 1.0"):
+            lo.or_null_test(data, 1.0, 5)
 
     def test_m_prime_validation(self):
         with pytest.raises(ValueError):
@@ -215,9 +218,10 @@ class TestDecideBatch:
             assert rejects.tolist() == [True, True, False, False, False]
 
     def test_alpha_one_rejects_every_row(self):
+        # alpha = 1 used to reject every row; the batch refuses it now.
         x1, x2, y = regression_stack(4, 20, 6, b1=-1.0, b2=1.0)
-        rejects, _ = assert_batch_matches_reference(x1, x2, y, 1.0, 3)
-        assert rejects.all()
+        with pytest.raises(ValueError, match=r"must lie in \(0, 0.5\), got 1.0"):
+            lo.decide_batch(x1, x2, y, 1.0, 3)
 
     def test_ill_posed_row_is_fitted_by_ols3_fit(self):
         # x2 is x1 plus 1e-5 noise: rank 3, but outside the closed form's
@@ -276,7 +280,7 @@ class TestDecideBatch:
         b1=st.floats(-0.5, 1.5),
         b2=st.floats(-0.5, 1.5),
         b0=st.floats(-5.0, 5.0),
-        alpha=st.sampled_from([0.01, 0.05, 0.1, 0.3, 1.0]),
+        alpha=st.sampled_from([0.01, 0.05, 0.1, 0.3]),
         m_prime=st.integers(1, 60),
     )
     def test_matches_or_null_test_hypothesis(self, seed, count, n, b1, b2, b0, alpha, m_prime):

@@ -149,9 +149,10 @@ class TestUniversalBaselines:
 
     @pytest.mark.parametrize("test", [mb.split_lrt_test, mb.cross_fit_lrt_test])
     def test_alpha_range(self, test):
-        # alpha == 1 stays legal; alpha = 2 used to reject every sample.
+        # alpha = 1 used to be legal; alpha = 2 used to reject every sample.
         s = make_sample(seed=4, n=10, theta=(2.5, 0, 0, 0, 0))
-        assert test(s, 1.0).alpha_prime_used == 1.0
+        with pytest.raises(ValueError, match=r"must lie in \(0, 1\), got 1.0"):
+            test(s, 1.0)
         for alpha in (2.0, -1.0, 0.0, math.nan):
             with pytest.raises(ValueError, match="significance level must lie in"):
                 test(s, alpha)
@@ -255,7 +256,7 @@ class TestDecideBatch:
     @pytest.mark.parametrize("theta", [(0.2, 0, 0, 0, 0), (1, 0, 0, 0, 0), (6, -3, 2, 1, 0)])
     def test_matches_scalar_tests(self, n, theta):
         stack = ball_stack(n, 40, n, theta)
-        for alpha in (0.01, 0.05, 0.2, 1.0):
+        for alpha in (0.01, 0.05, 0.2):
             assert_batch_matches_reference(stack, alpha)
 
     def test_n_one_pointwise_only(self):
@@ -281,8 +282,7 @@ class TestDecideBatch:
             for tail in ([0.0, 0.0], [0.7, -0.2])
         ])
         assert np.linalg.norm(stack[2, 0, :3]) == 1.0
-        for alpha in (0.05, 1.0):
-            assert_batch_matches_reference(stack, alpha)
+        assert_batch_matches_reference(stack, 0.05)
 
     def test_split_decisions_exactly_at_alpha(self):
         # alpha set to each sample's own e-value p-value: the strict rule
@@ -301,7 +301,7 @@ class TestDecideBatch:
                     if alpha < 0.5:
                         assert mb.decide_batch(rows[None], alpha)[column][0] == want
                     else:
-                        with pytest.raises(ValueError, match=r"\(0, 0.5\) or be 1"):
+                        with pytest.raises(ValueError, match=r"\(0, 0.5\), got "):
                             mb.decide_batch(rows[None], alpha)
 
     def test_statistics_match_per_sample_bit_for_bit(self):
@@ -340,15 +340,29 @@ class TestDecideBatch:
     @pytest.mark.parametrize("methods", [("split_lrt",), ("crossfit_lrt",), ("pointwise",)])
     def test_alpha_range(self, methods):
         # The split and cross-fit branch used to reject every sample at alpha = 2.
-        # The batch decides every method; each case reads its method's column.
+        # alpha = 1 used to reject every sample; the batch refuses it, and so
+        # does each case's scalar test.
         stack = ball_stack(3, 4, 6, (1.0, 0, 0, 0, 0))
         (method,) = methods
-        hits = mb.decide_batch(stack, 1.0)[mb.BATCH_METHODS.index(method)]
-        assert hits.tolist() == [SCALAR_TESTS[method](mb.MvnSample(rows), 1.0).reject
-                                 for rows in stack]
+        with pytest.raises(ValueError, match=r"must lie in \(0, 0.5\), got 1.0"):
+            mb.decide_batch(stack, 1.0)
+        for rows in stack:
+            with pytest.raises(ValueError, match="significance level must lie in"):
+                SCALAR_TESTS[method](mb.MvnSample(rows), 1.0)
         for alpha in (2.0, -1.0, 0.0, math.nan):
             with pytest.raises(ValueError, match="significance level must lie in"):
                 mb.decide_batch(stack, alpha)
+
+    def test_level_checked_before_the_p_values(self, monkeypatch):
+        # The batch runs the pointwise test, so it takes alpha in (0, 1/2).
+        # It used to compute every p-value first and refuse 0.7 from alpha'.
+        def no_work(*args):
+            raise AssertionError("p-values computed before the level check")
+
+        monkeypatch.setattr(mb, "_p_value_rows", no_work)
+        with pytest.raises(ValueError) as err:
+            mb.decide_batch(ball_stack(3, 4, 6, (1.0, 0, 0, 0, 0)), 0.7)
+        assert str(err.value) == "significance level must lie in (0, 0.5), got 0.7"
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from pwreject.alpha_prime import NullSpec, alpha_prime
 from pwreject.distributions import RngStream, t_cdf
 from pwreject.models import normal_mean as nm
 
@@ -88,21 +89,26 @@ class TestIntervalTest:
             assert dec.max_p == fn(s, far_a, far_b, 0.05).max_p and 0.0 < dec.max_p < 1.0
 
     def test_alpha_range(self):
-        # alpha' = 2 * alpha exactly inside (0, 1/2); alpha == 1 is the
-        # degenerate limit alpha' = 1; anything else is refused.
+        # alpha' = 2 * alpha exactly inside (0, 1/2); alpha = 1, once the
+        # degenerate limit alpha' = 1, is refused like anything else.
         s = sample()
         assert nm.interval_null_test(s, 0.0, 1.0, 0.05).alpha_prime_used == 0.1
-        dec = nm.interval_null_test(s, 0.0, 1.0, 1.0)
-        assert dec.alpha_prime_used == 1.0 and dec.reject
-        for alpha in (2.0, -1.0, 0.0, 0.5, 0.7):
+        for alpha in (2.0, -1.0, 0.0, 0.5, 0.7, 1.0):
             with pytest.raises(ValueError, match="significance level must lie in"):
                 nm.interval_null_test(s, 0.0, 1.0, alpha)
 
     def test_alpha_message_states_the_legal_set(self):
-        # 1 is legal, so 0.7 used to read "must lie in (0, 0.5)" wrongly.
         with pytest.raises(ValueError) as err:
             nm.interval_null_test(sample(), 0.0, 1.0, 0.7)
-        assert str(err.value) == "significance level must lie in (0, 0.5) or be 1, got 0.7"
+        assert str(err.value) == "significance level must lie in (0, 0.5), got 0.7"
+
+    def test_alpha_prime_comes_from_alpha_prime(self):
+        # The test decides through decide, with alpha' from the null geometry.
+        for alpha in (0.01, 0.05, 0.1, 0.3):
+            for mu in (0.5, 1.4, -0.6):
+                dec = nm.interval_null_test(sample(mu=mu), 0.0, 1.0, alpha)
+                assert dec.alpha_prime_used == alpha_prime(alpha, NullSpec(1, 1, has_boundary=True))
+                assert dec.reject == (dec.max_p <= dec.alpha_prime_used)
 
 
 class TestSampleIsolation:
@@ -159,10 +165,11 @@ class TestBonferroni:
         assert hits > 0  # the comparison actually exercised rejections
 
     def test_alpha_range(self):
-        # alpha == 1 stays legal; alpha = 2 used to give the cut 1.0 and
-        # alpha = -1 the cut -0.5.
+        # alpha = 1 used to give the cut 0.5 and is refused now; alpha = 2
+        # used to give the cut 1.0 and alpha = -1 the cut -0.5.
         s = sample()
-        assert nm.bonferroni_interval_test(s, 0.0, 1.0, 1.0).alpha_prime_used == 0.5
+        with pytest.raises(ValueError, match=r"must lie in \(0, 1\), got 1.0"):
+            nm.bonferroni_interval_test(s, 0.0, 1.0, 1.0)
         for alpha in (2.0, -1.0, 0.0, math.nan):
             with pytest.raises(ValueError, match="significance level must lie in"):
                 nm.bonferroni_interval_test(s, 0.0, 1.0, alpha)

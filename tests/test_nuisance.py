@@ -299,16 +299,17 @@ class TestLevelsAndDegenerateFits:
             nu.psi_lrt_test(make_data(), 1.0, 1.0, 100)
 
     def test_pointwise_test_keeps_alpha_one(self):
-        dec = nu.psi_pointwise_test(make_data(), 1.0, 1.0, 100)
-        assert dec.alpha_prime_used == 1.0 and dec.reject
+        # The pointwise test used to take alpha = 1 and reject; it refuses
+        # it now, as the LRT and the regions do.
+        with pytest.raises(ValueError, match=r"significance level must lie in \(0, 1\), got 1.0"):
+            nu.psi_pointwise_test(make_data(), 1.0, 1.0, 100)
 
     @pytest.mark.parametrize("mode, methods", [
         ("coverage", ("pointwise",)), ("coverage", ("lrt",)), ("test", ("pointwise", "lrt")),
     ])
     def test_batch_refuses_alpha_one(self, mode, methods):
-        # Both regions, and the LRT cut-off, are quantiles at 1 - alpha, so
-        # their one-row calls refuse alpha = 1; the pointwise test takes it
-        # and rejects.  The batch decides both methods, so it refuses.
+        # The batch and every one-row call refuse alpha = 1.  The pointwise
+        # test used to take it and reject.
         x, y = xy_stack(1, 3, 6)
         match = r"significance level must lie in \(0, 1\), got 1.0"
         with pytest.raises(ValueError, match=match):
@@ -316,16 +317,14 @@ class TestLevelsAndDegenerateFits:
         one_row = {
             ("coverage", "pointwise"): lambda d: nu.psi_region_F(d, 1.0, 10),
             ("coverage", "lrt"): lambda d: nu.psi_region_LRT(d, 1.0, 10),
+            ("test", "pointwise"): lambda d: nu.psi_pointwise_test(d, 1.0, 1.0, 10),
             ("test", "lrt"): lambda d: nu.psi_lrt_test(d, 1.0, 1.0, 10),
         }
         for row in range(len(x)):
             data = nu.XYData(x[row], y[row])
             for method in methods:
-                if (mode, method) == ("test", "pointwise"):
-                    assert nu.psi_pointwise_test(data, 1.0, 1.0, 10).reject
-                else:
-                    with pytest.raises(ValueError, match=match):
-                        one_row[mode, method](data)
+                with pytest.raises(ValueError, match=match):
+                    one_row[mode, method](data)
 
     @pytest.mark.parametrize("name", sorted(ONE_CALL_ARGS))
     def test_degenerate_fit_messages(self, name):

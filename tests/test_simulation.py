@@ -51,15 +51,19 @@ class TestRunExperiment:
         assert a.rates != b.rates
 
     def test_alpha_one_rejects_every_replicate(self, monkeypatch):
-        # Every model decides at the harness's level, simulation._ALPHA.
+        # Every model decides at the harness's level, simulation._ALPHA:
+        # each pointwise test refuses alpha = 1 (which used to reject every
+        # replicate) with its own legal set.
         monkeypatch.setattr(simulation, "_ALPHA", 1.0)
-        for kwargs in (
-            dict(model="interval", truth=(0.3,)),
-            dict(model="or_null", truth=(1.0, 0.0), m=10),
-            dict(model="ball", truth=(0, 0, 0, 0, 0), m=1),
+        for upper, kwargs in (
+            ("0.5", dict(model="interval", truth=(0.3,))),
+            ("0.5", dict(model="or_null", truth=(1.0, 0.0), m=10)),
+            ("0.5", dict(model="ball", truth=(0, 0, 0, 0, 0), m=1)),
+            ("1", dict(model="nuisance", truth=(1.0, 2.0), m=10)),
         ):
-            res = run_experiment(config(replicates=50, **kwargs))
-            assert res.rates["pointwise"] == 1.0
+            with pytest.raises(ValueError) as err:
+                run_experiment(config(replicates=50, **kwargs))
+            assert str(err.value) == "significance level must lie in (0, %s), got 1.0" % upper
 
     def test_margin_uses_effective_count(self):
         res = run_experiment(config(replicates=150))

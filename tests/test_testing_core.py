@@ -59,8 +59,10 @@ class TestPointwise:
         assert not dec.reject
 
     def test_alpha_one_rejects_everything(self):
-        dec = pointwise_test(lambda p: 1.0, [0], SPEC, 1.0)
-        assert dec.reject and dec.alpha_prime_used == 1.0
+        # alpha = 1 used to give alpha' = 1 and reject every dataset; it is
+        # refused now.
+        with pytest.raises(ValueError, match=r"significance level must lie in \(0, "):
+            pointwise_test(lambda p: 1.0, [0], SPEC, 1.0)
 
 
 class TestDecide:
