@@ -1,9 +1,9 @@
 """Time the two CLI layers that run before any model code.
 
-- ``cli._load_columns`` on a headered CSV of each model's columns, at 1e3
-  and 1e4 rows, in microseconds per row.  The files hold standard normal
-  draws written with ``%.17g``, as ``pwreject`` users and the
-  ``cli_dataset`` benchmark workload write them.
+- ``cli._load_columns`` on a headered CSV of each model's columns
+  (``pwreject.models.MODELS``), at 1e3 and 1e4 rows, in microseconds per
+  row.  The files hold standard normal draws written with ``%.17g``, as
+  ``pwreject`` users and the ``cli_dataset`` benchmark workload write them.
 - ``cli.build_parser()`` followed by ``parse_args`` on one ``test``
   command line, in microseconds per call.
 
@@ -28,6 +28,7 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
 from pwreject import cli  # noqa: E402
+from pwreject.models import MODELS  # noqa: E402
 
 SIZES = (1_000, 10_000)
 
@@ -51,7 +52,8 @@ def main(argv=None):
     load_rows = []
     with tempfile.TemporaryDirectory() as directory:
         for n in SIZES:
-            for model, names in cli._DATA_COLUMNS.items():
+            for model in MODELS:
+                names = MODELS[model].columns
                 path = os.path.join(directory, "%s-%d.csv" % (model, n))
                 np.savetxt(path, rng.standard_normal((n, len(names))), delimiter=",",
                            fmt="%.17g", header=",".join(names), comments="")

@@ -18,15 +18,8 @@ import warnings
 import numpy as np
 
 from pwreject.alpha_prime import NullSpec, alpha_prime
-from pwreject.models import linear_or, mvn_ball, normal_mean, nuisance
+from pwreject.models import MODELS, linear_or, mvn_ball, normal_mean, nuisance
 from pwreject.simulation import CSV_COLUMNS, SUITE_IDS, _suite_configs, run_suite
-
-_DATA_COLUMNS = {
-    "interval": ("y",),
-    "or_null": ("x1", "x2", "y"),
-    "nuisance": ("x", "y"),
-    "ball": ("y1", "y2", "y3", "y4", "y5"),
-}
 
 
 class CliError(Exception):
@@ -65,7 +58,7 @@ def _cmd_alpha_prime(args):
 
 
 def _run_dataset_test(args):
-    cols = _load_columns(args.data, _DATA_COLUMNS[args.model])
+    cols = _load_columns(args.data, MODELS[args.model].columns)
     if args.model == "interval":
         sample = normal_mean.UnivariateSample(cols[0])
         return normal_mean.interval_null_test(sample, args.a, args.b, args.alpha)
@@ -111,7 +104,7 @@ def _opened_out(path):
 
 
 def _cmd_confreg(args):
-    x, y = _load_columns(args.data, _DATA_COLUMNS["nuisance"])
+    x, y = _load_columns(args.data, MODELS["nuisance"].columns)
     data = nuisance.XYData(x, y)
     region = nuisance.psi_region_F(data, args.alpha, args.m, args.width)
     with _opened_out(args.out) as out:
@@ -157,7 +150,7 @@ def build_parser():
     p.set_defaults(fn=_cmd_alpha_prime)
 
     p = sub.add_parser("test", help="run a composite test on a CSV dataset")
-    p.add_argument("--model", choices=sorted(_DATA_COLUMNS), required=True)
+    p.add_argument("--model", choices=sorted(MODELS), required=True)
     p.add_argument("--data", required=True, help="headered CSV file")
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--a", type=float, default=0.0, help="interval lower endpoint")
@@ -170,7 +163,6 @@ def build_parser():
     p.set_defaults(fn=_cmd_test)
 
     p = sub.add_parser("confreg", help="confidence region for psi (nuisance model)")
-    p.add_argument("--model", choices=("nuisance",), default="nuisance")
     p.add_argument("--data", required=True)
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--m", type=int, default=50)

@@ -10,13 +10,17 @@ coverage) and the psi it reads (psi0 when testing, the true psi for
 coverage).  ``run_suite`` runs the settings that share a key as one
 group: their replicates form one sequence of rows, setting after setting,
 generated serially and decided in blocks of consecutive rows that may
-span settings; ``run_experiment`` is the group of one setting.  Every model takes one path: each row's stream
-writes its standard normals straight into its row of (B, ...) noise
-arrays, the block's data columns are formed from them at once with each
-row's truth, and the stack is handed to one decision call.  The streams'
-seed words, and each setting's seed in a suite, come from the cached block
-hash of :mod:`pwreject.distributions`.  The ball, nuisance and or_null
-models decide the whole stack at once
+span settings; ``run_experiment`` is the group of one setting.  Every
+model takes one path: each data column carries one standard normal per
+observation, so each row's stream writes its replicate in one run of
+standard normals straight into its row of one (B, columns * n) array; the
+block's data columns are formed from it at once with the (B, T) array of
+the row truths, and the stack is handed to one decision call.  What the
+harness knows of each model (methods, minimum n, truth length, columns)
+is the table :data:`pwreject.models.MODELS`.  The streams' seed words,
+and each setting's seed in a suite, come from the cached block hash of
+:mod:`pwreject.distributions`.  The ball, nuisance and or_null models
+decide the whole stack at once
 (:func:`pwreject.models.mvn_ball.decide_batch` on the (B, n, 5) draws,
 :func:`pwreject.models.nuisance.decide_batch` on the (B, n) x and y,
 :func:`pwreject.models.linear_or.decide_batch` on the (B, n) x1, x2 and
@@ -37,24 +41,12 @@ import numpy as np
 
 from pwreject.alpha_prime import _check_integers
 from pwreject.distributions import RngStream, _stream_seed_words
-from pwreject.models import linear_or, mvn_ball, normal_mean, nuisance
-from pwreject.models import MODEL_IDS
+from pwreject.models import MODELS, linear_or, mvn_ball, normal_mean, nuisance
 
 __all__ = ["ExperimentConfig", "ExperimentResult", "run_experiment", "run_suite", "SUITE_IDS"]
 
 MODES = ("type1", "power", "coverage")
 
-# Sample splitting (the ball model's LRT baselines) needs two observations.
-_MODEL_MIN_N = {"interval": 2, "or_null": 4, "nuisance": 3, "ball": 2}
-# Parameters in a truth: mu; (b1, b2); (psi, phi); theta.
-_TRUTH_LEN = {"interval": 1, "or_null": 2, "nuisance": 2, "ball": mvn_ball.DIM}
-# Each model's methods, in the order of a setting's rows.
-_MODEL_METHODS = {
-    "interval": ("pointwise", "bonferroni"),
-    "or_null": ("pointwise",),
-    "nuisance": nuisance.BATCH_METHODS,
-    "ball": mvn_ball.BATCH_METHODS,
-}
 # Every setting tests at level 0.05; the nuisance tests test H0: psi = 1.
 _ALPHA = 0.05
 _PSI0 = 1.0
@@ -70,38 +62,40 @@ class ExperimentConfig:
     truth: tuple
     n: int
     replicates: int
-    m: int  # nuisance proxy points; or_null test points, m / 2 per boundary arm
+    m: int  # nuisance proxy points; or_null test points, m / 2 per arm; interval 0, ball 1
     master_seed: int
 
     def __post_init__(self):
         _check_integers(self, "n", "replicates", "m", "master_seed")
-        if self.model not in MODEL_IDS:
+        if self.model not in MODELS:
             raise ValueError("unknown model %r" % (self.model,))
+        model = MODELS[self.model]
         if self.mode not in MODES:
             raise ValueError("unknown mode %r" % (self.mode,))
         if self.mode == "coverage" and self.model != "nuisance":
             raise ValueError("mode 'coverage' needs the 'nuisance' model, got %r" % (self.model,))
-        if len(self.truth) != _TRUTH_LEN[self.model]:
-            raise ValueError(
-                "the %r model needs a truth of length %d, got %r"
-                % (self.model, _TRUTH_LEN[self.model], self.truth)
-            )
+        if len(self.truth) != model.truth_len:
+            raise ValueError("the %r model needs a truth of length %d, got %r"
+                             % (self.model, model.truth_len, self.truth))
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
-        if self.n < _MODEL_MIN_N[self.model]:
-            raise ValueError(
-                "n=%d is below the %r model minimum %d"
-                % (self.n, self.model, _MODEL_MIN_N[self.model])
-            )
+        if self.n < model.min_n:
+            raise ValueError("n=%d is below the %r model minimum %d"
+                             % (self.n, self.model, model.min_n))
         if self.model == "or_null" and (self.m < 2 or self.m % 2):
             raise ValueError("the 'or_null' model needs an even m >= 2, got %r" % (self.m,))
         if self.model == "nuisance" and self.m < 1:
             raise ValueError("the 'nuisance' model needs m >= 1, got %r" % (self.m,))
+        # interval tests over the continuum [0, 1], ball at one projection point.
+        if self.model == "interval" and self.m != 0:
+            raise ValueError("the 'interval' model needs m = 0, got %r" % (self.m,))
+        if self.model == "ball" and self.m != 1:
+            raise ValueError("the 'ball' model needs m = 1, got %r" % (self.m,))
 
     @property
     def methods(self):
         """All of the model's methods, in the order of a setting's rows."""
-        return _MODEL_METHODS[self.model]
+        return MODELS[self.model].methods
 
 
 @dataclass(frozen=True)
@@ -126,71 +120,60 @@ def margin_of_error(rate, count):
     return 1.96 * math.sqrt(rate * (1.0 - rate) / count)
 
 
-def _noise_shapes(config):
-    """Shapes of a replicate's standard-normal draws, in the order they are drawn."""
-    n = config.n
-    if config.model == "or_null":
-        return (n, 2), (n,)
-    if config.model == "nuisance":
-        return (n,), (n,)
-    if config.model == "ball":
-        return ((n, mvn_ball.DIM),)
-    return ((n,),)
+def _columns(model, truth, z):
+    """The data columns of stacked replicates: (y,) for interval, (x1, x2, y)
+    for or_null and (x, y) for nuisance, each (B, n), and the (B, n, 5)
+    observations for ball.
 
-
-def _columns(model, truth, noise):
-    """The data columns of stacked replicates, formed from their (B, ...) draws.
-
-    Each parameter in ``truth`` is a float, or a (B, 1) column when the rows
-    span settings (``_stack``).  Returns (y,) for interval, (x1, x2, y) for
-    or_null, (x, y) for nuisance and the (B, n, 5) draws for ball; each
-    column is (B, n) otherwise.  The noise has unit standard deviation.
+    ``truth`` is the (B, T) array of the row truths.  Row b of the (B, C * n)
+    ``z`` is its replicate's run of standard normals, in the order drawn:
+    the noise of y (interval); x1 and x2 as (n, 2), then the noise
+    (or_null); x, then the noise (nuisance); the (n, 5) noise (ball).  The
+    interval and ball columns are ``z`` itself, with the truth added in place.
     """
+    params = truth.T[..., None]  # one (B, 1) column per parameter
+    n = z.shape[1] // len(MODELS[model].columns)
     if model == "interval":
-        return (truth[0] + noise[0],)
+        z += truth  # (B, 1): mu
+        return (z,)
     if model == "or_null":
-        b1, b2 = truth
-        x, eps = noise
+        b1, b2 = params
+        x = z[:, :2 * n].reshape(-1, n, 2)
         x1 = np.ascontiguousarray(x[:, :, 0])
         x2 = np.ascontiguousarray(x[:, :, 1])
-        return x1, x2, b1 * x1 + b2 * x2 + eps
+        return x1, x2, b1 * x1 + b2 * x2 + z[:, 2 * n:]
     if model == "nuisance":
-        psi, phi = truth
-        x, eps = noise
-        return x, psi * phi * x + psi * phi * phi + eps
-    # (5,) for one truth, (5, B, 1) for columns; either way a (B or 1, 1, 5) mean.
-    return (np.asarray(truth, dtype=float).T.reshape(-1, 1, mvn_ball.DIM) + noise[0],)
+        psi, phi = params
+        psi_phi = psi * phi
+        x = np.ascontiguousarray(z[:, :n])
+        return x, psi_phi * x + psi_phi * phi + z[:, n:]
+    observations = z.reshape(len(z), n, mvn_ball.DIM)
+    observations += truth[:, None, :]
+    return (observations,)
 
 
 def _stack(configs, lo, size):
     """The data columns of rows lo .. lo + size - 1 of a group, each stacked as (size, ...).
 
     A group's rows are its settings' replicates, setting after setting.
-    Each row's stream, ``RngStream(seed, r)`` of its own setting, writes its
-    draws straight into its row of the (size, ...) noise arrays; the columns
-    are then formed once per block, from each row's truth: the truth tuple
-    of the one setting the block lies in, or else one (size, 1) column per
-    parameter, setting by setting.
+    Each row's stream, ``RngStream(seed, r)`` of its own setting, writes
+    its replicate's one run of standard normals, one per data column and
+    observation, straight into its row of one (size, C * n) array.  The
+    row truths, each its own setting's, form one (size, T) array, and the
+    columns are formed from both at once (``_columns``).
     """
-    noise = [np.empty((size,) + shape) for shape in _noise_shapes(configs[0])]
-    truths, counts = [], []
+    model = configs[0].model
+    z = np.empty((size, len(MODELS[model].columns) * configs[0].n))
+    truth = np.empty((size, MODELS[model].truth_len))
     start = row = 0
     for config in configs:
-        first, last = max(lo - start, 0), min(lo + size - start, config.replicates)
+        replicates = range(max(lo - start, 0), min(lo + size - start, config.replicates))
         start += config.replicates
-        if first < last:
-            truths.append(config.truth)
-            counts.append(last - first)
-        for r in range(first, last):
-            g = RngStream(config.master_seed, r).generator
-            for z in noise:
-                g.standard_normal(out=z[row])
+        truth[row:row + len(replicates)] = config.truth
+        for r in replicates:
+            RngStream(config.master_seed, r).generator.standard_normal(out=z[row])
             row += 1
-    if len(truths) == 1:
-        truth = truths[0]
-    else:
-        truth = tuple(np.repeat(p, counts)[:, None] for p in zip(*truths))
-    return _columns(configs[0].model, truth, noise)
+    return _columns(model, truth, z)
 
 
 def _nuisance_target(config):

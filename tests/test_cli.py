@@ -11,10 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pwreject import cli
+from pwreject import cli, simulation
 from pwreject.alpha_prime import NullSpec, alpha_prime
 from pwreject.cli import CliError, _load_columns, build_parser, main
 from pwreject.distributions import RngStream
+from pwreject.models import MODELS, linear_or, mvn_ball, normal_mean, nuisance
 
 
 def run_cli(args, **kwargs):
@@ -194,6 +195,53 @@ class TestTestCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "non-finite" in captured.err and path in captured.err
+
+
+# Harness settings whose pointwise test is the CLI's default one: interval
+# [0, 1], or_null m' = 50, nuisance psi0 = 1 with m = 100, ball; alpha 0.05.
+HARNESS_SETTINGS = {
+    "interval": dict(truth=(2.0,), m=0),
+    "or_null": dict(truth=(1.0, 1.0), m=100),
+    "nuisance": dict(truth=(2.0, 2.0), m=100),
+    "ball": dict(truth=(2.0, 0.5, 0.0, 0.0, 0.0), m=1),
+}
+
+
+def one_dataset_test(model, cols):
+    """The model's pointwise test at the CLI defaults on data columns ``cols``
+    (for ball, the five columns or one (n, 5) array)."""
+    if model == "interval":
+        return normal_mean.interval_null_test(normal_mean.UnivariateSample(cols[0]), 0.0, 1.0, 0.05)
+    if model == "or_null":
+        return linear_or.or_null_test(linear_or.RegressionData(*cols), 0.05, 50)
+    if model == "nuisance":
+        return nuisance.psi_pointwise_test(nuisance.XYData(*cols), 1.0, 0.05, 100)
+    return mvn_ball.ball_pointwise_test(mvn_ball.MvnSample(np.column_stack(cols)), 0.05)
+
+
+@pytest.mark.parametrize("model", sorted(HARNESS_SETTINGS))
+def test_harness_replicate_is_a_cli_input(model, tmp_path, capsys):
+    # Row 0 of a harness block, written under the model's CLI columns, is
+    # read back as the same arrays and decided as the harness decides it
+    # (interval, nuisance and ball reject here, or_null does not).
+    cfg = simulation.ExperimentConfig(model=model, mode="type1", n=9, replicates=1,
+                                      master_seed=11, **HARNESS_SETTINGS[model])
+    stacked = simulation._stack([cfg], 0, 1)
+    replicate = [column[0] for column in stacked]
+    rows = np.column_stack(replicate)
+    path = write_csv(tmp_path / "replicate.csv", MODELS[model].columns, rows.tolist())
+    assert np.array_equal(np.column_stack(_load_columns(path, MODELS[model].columns)), rows)
+    assert main(["test", "--model", model, "--data", path, "--format", "json"]) == 0
+    decision = one_dataset_test(model, replicate)
+    assert json.loads(capsys.readouterr().out) == {
+        "model": model,
+        "reject": decision.reject,
+        "max_p": decision.max_p,
+        "alpha_prime": decision.alpha_prime_used,
+        "n_points": decision.n_points,
+    }
+    hits = simulation._decide(cfg, stacked)[0]
+    assert bool(hits[0][0]) == decision.reject
 
 
 def write_text(path, text):

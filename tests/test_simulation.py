@@ -115,6 +115,17 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="m >= 1"):
             config(m=0, **nuisance_kw)
         assert config(m=1, **nuisance_kw).m == 1
+        # interval tests over the continuum and ball at one point; any other
+        # m used to run the same test and be written to the CSV m column.
+        for m in (-3, 1, 10):
+            with pytest.raises(ValueError, match="the 'interval' model needs m = 0, got %d" % m):
+                config(m=m, truth=(0.5,))
+        assert config(m=0, truth=(0.5,)).m == 0
+        ball = dict(model="ball", truth=(1, 0, 0, 0, 0))
+        for m in (-3, 0, 2, 10):
+            with pytest.raises(ValueError, match="the 'ball' model needs m = 1, got %d" % m):
+                config(m=m, **ball)
+        assert config(m=1, **ball).m == 1
 
     @pytest.mark.parametrize("model, truth, m", [
         ("interval", (0.5,), 0),
@@ -156,7 +167,8 @@ class TestRunExperiment:
         ("ball", (1, 0, 0, 0, 0), ("pointwise", "split_lrt", "crossfit_lrt")),
     ])
     def test_every_setting_runs_all_of_its_models_methods(self, model, truth, methods):
-        cfg = config(model=model, truth=truth, m=10, n=6, replicates=5)
+        m = {"interval": 0, "ball": 1}.get(model, 10)
+        cfg = config(model=model, truth=truth, m=m, n=6, replicates=5)
         assert cfg.methods == methods
         assert tuple(run_experiment(cfg).rates) == methods
 
