@@ -68,7 +68,6 @@ class RegressionData:
 @dataclass(frozen=True, eq=False)
 class OlsFit:
     coefficients: np.ndarray
-    fitted: np.ndarray
     rss: float
 
 
@@ -80,9 +79,8 @@ def ols3_fit(data):
     coef, _, rank, _ = np.linalg.lstsq(design, data.y, rcond=None)
     if rank < 3:
         raise np.linalg.LinAlgError("design matrix (1, x1, x2) is rank deficient")
-    fitted = design @ coef
-    rss = float(np.sum((data.y - fitted) ** 2))
-    return OlsFit(coef, fitted, rss)
+    rss = float(np.sum((data.y - design @ coef) ** 2))
+    return OlsFit(coef, rss)
 
 
 def _intercept_only_rss(z):

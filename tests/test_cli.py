@@ -409,6 +409,14 @@ class TestSimulate:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 1 + 15  # header + 5 settings x 3 methods
 
+    def test_stdout_json_is_the_run_suite_rows(self, capsys):
+        argv = ["simulate", "--suite", "table1", "--seed", "3", "--scale", "0.0005",
+                "--format", "json"]
+        assert main(argv) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert len(rows) == 10
+        assert rows == simulation.run_suite("table1", 3, 0.0005)
+
     def test_bad_scale_exits_2(self, capsys):
         assert main(["simulate", "--suite", "table1", "--scale", "0"]) == 2
 

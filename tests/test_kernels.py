@@ -60,6 +60,22 @@ class TestBackend:
                 1.0, abs=1e-12
             )
 
+    def test_arguments_outside_the_domain_raise(self, mod):
+        # Matched by message: without its check, each call fails inside
+        # math.log or math.lgamma with another ValueError, or divides by 0.
+        with pytest.raises(ValueError, match="shape parameter must be positive"):
+            mod.reg_lower_gamma(0.0, 1.0)
+        with pytest.raises(ValueError, match="argument must be nonnegative"):
+            mod.reg_lower_gamma(1.0, -0.5)
+        with pytest.raises(ValueError, match="beta parameters must be positive"):
+            mod.reg_inc_beta(0.0, 1.0, 0.5)
+        with pytest.raises(ValueError, match="beta parameters must be positive"):
+            mod.reg_inc_beta(1.0, -1.0, 0.5)
+        with pytest.raises(ValueError, match=r"argument must lie in \[0, 1\]"):
+            mod.reg_inc_beta(1.0, 1.0, 1.5)
+        with pytest.raises(ValueError, match=r"argument must lie in \[0, 1\]"):
+            mod.reg_inc_beta(1.0, 1.0, -0.5)
+
     def test_range_and_endpoints(self, mod):
         assert mod.reg_inc_beta(2.0, 3.0, 0.0) == 0.0
         assert mod.reg_inc_beta(2.0, 3.0, 1.0) == 1.0

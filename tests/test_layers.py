@@ -1,0 +1,22 @@
+"""The layer benchmark, ``benchmarks/layers.py``, runs on the harness's own
+groups and blocks: a change to the names it reads breaks this test too."""
+
+import importlib.util
+import os
+
+from pwreject import simulation
+from pwreject.models import MODELS
+
+_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                     "benchmarks", "layers.py")
+_SPEC = importlib.util.spec_from_file_location("layers", _PATH)
+layers = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(layers)
+
+
+def test_block_decisions_equal_per_dataset_tests_at_perfbench_scale():
+    groups = list(layers.groups(0, "perfbench"))
+    assert {configs[0].model for _, configs, _ in groups} == set(MODELS)
+    differ = [(suite, simulation._decision_key(configs[0])) for suite, configs, rows in groups
+              if not layers.decisions_agree(configs, simulation._stack(configs, 0, rows))]
+    assert differ == []

@@ -53,7 +53,16 @@ class TestFStat:
         data = make_data(sigma=0.0)
         assert nu.f_stat(data, 1.0, 2.0) == 0.0
         assert nu.f_stat_p_value(data, 1.0, 2.0) == 1.0
-        assert nu.f_stat_p_value(data, 2.0, 2.0) == 0.0  # infinite F
+        assert nu.f_stat_p_value(data, 2.0, 2.0) == 0.0
+        # y = 2.5 + 2x fits its line exactly, rss_alt == 0: F is 0 on the
+        # line, (psi, phi) = (1.6, 1.25), and infinite off it, with p = 0.
+        exact = nu.XYData([0.0, 1.0, 2.0, 3.0], [2.5, 4.5, 6.5, 8.5])
+        assert nu.ols_line_fit(exact)[2] == 0.0
+        assert nu.f_stat(exact, 1.6, 1.25) == 0.0
+        assert nu.f_stat(exact, 1.0, 2.0) == math.inf
+        assert nu.f_stat_p_value(exact, 1.0, 2.0) == 0.0
+        assert nu.psi_pointwise_test(exact, 1.0, 0.05, 100).max_p == 0.0
+        assert nu.psi_lrt_test(exact, 1.0, 0.05, 100).max_p == 0.0
 
 
 class TestProxyGrid:

@@ -321,6 +321,15 @@ class TestBlocks:
         assert res.rates == {"pointwise": 1.0, "lrt": 0.0}
         assert res.margins["pointwise"] == 0.0
 
+    def test_all_replicates_flagged_raises(self, monkeypatch):
+        # With no replicate left to count, no rate exists.
+        def flag_all(x, y, *args):
+            return [np.zeros(len(x), dtype=bool)] * 2, np.ones(len(x), dtype=bool)
+
+        monkeypatch.setattr(nuisance, "decide_batch", flag_all)
+        with pytest.raises(RuntimeError, match="all replicates were flagged as degenerate"):
+            run_experiment(config(mode="coverage", **self.NUISANCE))
+
 
 def rows_setting_by_setting(suite, master_seed, scale):
     """run_suite's rows, built from run_experiment on each setting alone."""
