@@ -52,7 +52,7 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
-from pwreject import cli, distributions, simulation  # noqa: E402
+from pwreject import cli, distributions, simulation, testing  # noqa: E402
 from pwreject.alpha_prime import (  # noqa: E402
     alpha_prime, alpha_prime_no_boundary, alpha_prime_with_boundary)
 from pwreject.models import MODELS, linear_or, mvn_ball, normal_mean, nuisance  # noqa: E402
@@ -65,14 +65,16 @@ PERFBENCH_SCALES = {
 SCALES = {"perfbench": PERFBENCH_SCALES, "full": dict.fromkeys(PERFBENCH_SCALES, 1.0)}
 # Rows of each block that the per-dataset tests decide too.
 CHECKED_ROWS = 16
-# Where the models call the CDFs and the quantiles, and where the CDFs call
-# the kernels; distributions holds each of these functions under its name.
+# Where the models call the CDFs and the quantiles (the F CDF through
+# testing's F-test p-value, which or_null and nuisance share), and where the
+# CDFs call the kernels; distributions holds each of these functions under
+# its name.
 CALL_SITES = (
     (distributions, "reg_lower_gamma"), (distributions, "reg_inc_beta"),
-    (mvn_ball, "chi2_cdf"), (linear_or, "f_cdf"), (nuisance, "f_cdf"), (normal_mean, "t_cdf"),
-    (nuisance, "chi2_quantile"), (nuisance, "f_quantile"), (normal_mean, "t_quantile"),
+    (mvn_ball, "chi2_cdf"), (testing, "f_cdf"), (normal_mean, "t_cdf"),
+    (nuisance, "chi2_quantile"), (nuisance, "f_quantile"),
 )
-QUANTILES = ("chi2_quantile", "f_quantile", "t_quantile")
+QUANTILES = ("chi2_quantile", "f_quantile")
 CACHES = (
     alpha_prime_no_boundary, alpha_prime_with_boundary,
     distributions.chi2_quantile, distributions.f_quantile, distributions.t_quantile,

@@ -27,7 +27,6 @@ __all__ = [
     "alpha_prime",
     "alpha_prime_no_boundary",
     "alpha_prime_with_boundary",
-    "boundary_balance_residual",
 ]
 
 _RESIDUAL_TOL = 1e-12
@@ -120,17 +119,6 @@ def alpha_prime(alpha, spec):
     if spec.has_boundary:
         return alpha_prime_with_boundary(alpha, spec)
     return alpha_prime_no_boundary(alpha, spec)
-
-
-def boundary_balance_residual(alpha, spec, ap):
-    """Residual of the boundary-case defining equation at a candidate alpha'.
-
-    Uses the convention F_{chi2_0}(.) = 1 when d0 = d1.
-    """
-    q = chi2_quantile(1.0 - ap, spec.d1)
-    dg = spec.d1 - spec.d0
-    first = 1.0 if dg == 0 else chi2_cdf(q, dg)
-    return 0.5 * (first + chi2_cdf(q, dg + 1)) - (1.0 - alpha)
 
 
 def _check_integers(obj, *names):

@@ -12,6 +12,7 @@ The draws are unchanged.
 """
 
 import functools
+import math
 import operator
 
 import numpy as np
@@ -32,7 +33,7 @@ _X_TOL = 1e-13
 
 
 def _check_df(nu, name="df"):
-    if nu < 1:
+    if not nu >= 1:
         raise ValueError("%s must be >= 1, got %r" % (name, nu))
 
 
@@ -63,7 +64,7 @@ def _invert_increasing(fn, p, lo, hi):
 def chi2_cdf(x, nu):
     """CDF of the chi-square distribution with nu degrees of freedom."""
     _check_df(nu)
-    if x < 0.0:
+    if not x >= 0.0:
         raise ValueError("chi-square argument must be nonnegative, got %r" % (x,))
     return reg_lower_gamma(0.5 * nu, 0.5 * x)
 
@@ -80,11 +81,15 @@ def f_cdf(x, d_num, d_den):
     """CDF of the F distribution with (d_num, d_den) degrees of freedom."""
     _check_df(d_num, "numerator df")
     _check_df(d_den, "denominator df")
-    if x < 0.0:
+    if not x >= 0.0:
         raise ValueError("F argument must be nonnegative, got %r" % (x,))
     if x == 0.0:
         return 0.0
-    z = d_num * x / (d_num * x + d_den)
+    num = d_num * x
+    if num == math.inf:
+        # x is infinite, or so large that the CDF rounds to 1.
+        return 1.0
+    z = num / (num + d_den)
     return reg_inc_beta(0.5 * d_num, 0.5 * d_den, z)
 
 
@@ -242,7 +247,8 @@ class RngStream:
     cached block hash gives them for 64 consecutive indices at once; so
     ``generator.bit_generator.seed_seq`` is not a ``SeedSequence``, but the
     draws are those of ``PCG64(SeedSequence(master_seed,
-    spawn_key=(index,)))``.  Normal variates use numpy's ziggurat sampler.
+    spawn_key=(index,)))``.  Draw through ``generator``; its normal variates
+    use numpy's ziggurat sampler.
     A stream is single-owner: never share one across concurrent contexts.
     """
 
@@ -252,8 +258,3 @@ class RngStream:
         self.index = operator.index(index)
         words = _stream_seed_words(self.master_seed, self.index)
         self.generator = np.random.Generator(np.random.PCG64(_stream_seed_type()(words)))
-
-    def standard_normal(self, size=None):
-        """i.i.d. N(0, 1) draws (scalar when size is None)."""
-        out = self.generator.standard_normal(size)
-        return float(out) if size is None else out

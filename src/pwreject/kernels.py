@@ -20,12 +20,14 @@ BACKEND = "python"
 
 def reg_lower_gamma(s, x):
     """Regularized lower incomplete gamma P(s, x) = gamma(s, x) / Gamma(s)."""
-    if s <= 0.0:
+    if not s > 0.0:
         raise ValueError("shape parameter must be positive, got %r" % (s,))
-    if x < 0.0:
+    if not x >= 0.0:
         raise ValueError("argument must be nonnegative, got %r" % (x,))
     if x == 0.0:
         return 0.0
+    if x == math.inf:
+        return 1.0
     if x < s + 1.0:
         return _gamma_series(s, x)
     return 1.0 - _gamma_cf(s, x)
@@ -72,9 +74,9 @@ def _gamma_cf(s, x):
 
 def reg_inc_beta(a, b, x):
     """Regularized incomplete beta I_x(a, b)."""
-    if a <= 0.0 or b <= 0.0:
+    if not (a > 0.0 and b > 0.0):
         raise ValueError("beta parameters must be positive, got %r, %r" % (a, b))
-    if x < 0.0 or x > 1.0:
+    if not 0.0 <= x <= 1.0:
         raise ValueError("argument must lie in [0, 1], got %r" % (x,))
     if x == 0.0:
         return 0.0

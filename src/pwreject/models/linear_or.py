@@ -10,9 +10,9 @@ linear restrictions, intercept free, denominator df n - 3).
 The max p-value is written once, as an array function over (B, n) stacks
 of datasets.  :func:`decide_batch` runs it on a whole stack; it is what the
 Monte Carlo harness calls.  :func:`or_null_test` is a one-row call of it.
-The reference they are checked against is
-:func:`pwreject.testing.pointwise_test` over :func:`boundary_test_points`
-with :func:`f_point_p_value`, which fits by ``lstsq``.
+The tests check both against :func:`pwreject.testing.pointwise_test` over
+the boundary points with a per-point F-test p-value that fits by
+``lstsq`` (``tests/references.py``).
 """
 
 from dataclasses import dataclass
@@ -20,14 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from pwreject.alpha_prime import NullSpec
-from pwreject.distributions import f_cdf
-from pwreject.testing import decide, rejections
+from pwreject.testing import _f_test_p_value, decide, rejections
 
 __all__ = [
     "RegressionData",
     "OlsFit",
     "ols3_fit",
-    "f_point_p_value",
     "or_null_test",
     "decide_batch",
 ]
@@ -81,34 +79,6 @@ def ols3_fit(data):
         raise np.linalg.LinAlgError("design matrix (1, x1, x2) is rank deficient")
     rss = float(np.sum((data.y - design @ coef) ** 2))
     return OlsFit(coef, rss)
-
-
-def _intercept_only_rss(z):
-    return float(np.sum((z - z.mean()) ** 2))
-
-
-def f_point_p_value(data, b1t, b2t, fit=None):
-    """F-test p-value for the simple null (b1, b2) = (b1t, b2t), intercept free."""
-    if fit is None:
-        fit = ols3_fit(data)
-    rss_null = _intercept_only_rss(data.y - b1t * data.x1 - b2t * data.x2)
-    return _f_p(rss_null, fit.rss, data.n)
-
-
-def _f_p(rss_null, rss_alt, n):
-    if rss_alt == 0.0:
-        return 1.0 if rss_null == 0.0 else 0.0
-    f = max(0.0, (rss_null - rss_alt) / 2.0) / (rss_alt / (n - 3))
-    return 1.0 - f_cdf(f, 2, n - 3)
-
-
-def boundary_test_points(fit, m_prime):
-    """The 2*m_prime boundary points, j-th at 2*beta_hat*j/(m_prime + 1)."""
-    b1, b2 = fit.coefficients[1], fit.coefficients[2]
-    fracs = np.arange(1, m_prime + 1) / (m_prime + 1.0)
-    points = [(2.0 * b1 * f, 0.0) for f in fracs]
-    points += [(0.0, 2.0 * b2 * f) for f in fracs]
-    return points
 
 
 def or_null_test(data, alpha, m_prime):
@@ -182,7 +152,7 @@ def _max_p_rows(x1, x2, y, m_prime):
     rss_b2 = _arm_rss(y, 2.0 * b2[:, None] * fracs, x2)
     min_rss = np.minimum(rss_b1.min(axis=1), rss_b2.min(axis=1))
     pairs = zip(min_rss.tolist(), rss_alt[out].tolist())
-    p[out] = [_f_p(r_null, r_alt, n) for r_null, r_alt in pairs]
+    p[out] = [_f_test_p_value(r_null, r_alt, n - 3) for r_null, r_alt in pairs]
     return p, out
 
 

@@ -8,16 +8,16 @@ obtained by projecting the sample mean onto the null region; the simple
 null is tested with the exact known-covariance likelihood ratio (a
 chi-square-5 statistic, exact at every n).
 
-Universal-inference baselines (split LRT, cross-fit LRT) and the
-boundaryless subspace variant used for the equivalence check with the
-traditional LRT live here too.
+Universal-inference baselines (split LRT, cross-fit LRT) live here too.
 
 Each test's p-value is written once, as an array function over a (B, n,
 5) stack of samples.  :func:`decide_batch` runs all three tests on a
 whole stack; it is what the Monte Carlo harness calls.  The per-sample
-tests are one-row calls of it on ``sample.rows[None]``.  The reference
-they are checked against is :func:`pwreject.testing.pointwise_test` with
-:func:`mvn_simple_p_value` at the projection.
+tests are one-row calls of it on ``sample.rows[None]``.  The tests check
+them against :func:`pwreject.testing.pointwise_test` with the simple-null
+chi-square p-value at a projection of their own; the boundaryless subspace
+null, on which the pointwise test equals the traditional LRT, is a fixture
+there too (``tests/references.py``).
 """
 
 import functools
@@ -28,24 +28,18 @@ import numpy as np
 
 from pwreject.alpha_prime import NullSpec, _check_level
 from pwreject.distributions import chi2_cdf
-from pwreject.testing import TestDecision, decide, lrt_decision_subspace, rejections
+from pwreject.testing import TestDecision, decide, rejections
 
 __all__ = [
     "MvnSample",
-    "project_to_null",
-    "project_to_subspace",
-    "mvn_simple_p_value",
     "ball_pointwise_test",
     "split_lrt_test",
     "cross_fit_lrt_test",
     "decide_batch",
-    "subspace_pointwise_test",
-    "subspace_lrt_test",
 ]
 
 DIM = 5
 BALL_SPEC = NullSpec(d1=5, d0=3, has_boundary=True)
-SUBSPACE_SPEC = NullSpec(d1=5, d0=3, has_boundary=False)
 BATCH_METHODS = ("pointwise", "split_lrt", "crossfit_lrt")
 
 
@@ -83,25 +77,6 @@ class MvnSample:
 def _read_only(arr):
     arr.flags.writeable = False
     return arr
-
-
-def project_to_null(ybar):
-    """Euclidean projection of a mean vector onto the ball-and-subspace null."""
-    return _project_rows_to_null(np.array(ybar, dtype=float)[None])[0]
-
-
-def project_to_subspace(ybar):
-    """Projection onto {theta4 = theta5 = 0} (no ball constraint)."""
-    out = np.array(ybar, dtype=float)
-    out[3] = 0.0
-    out[4] = 0.0
-    return out
-
-
-def mvn_simple_p_value(sample, theta_t):
-    """Exact LRT p-value for H0: theta = theta_t under known I_5 covariance."""
-    stat = sample.n * float(np.sum((sample.mean - np.asarray(theta_t)) ** 2))
-    return 1.0 - chi2_cdf(stat, DIM)
 
 
 def ball_pointwise_test(sample, alpha):
@@ -225,20 +200,3 @@ def _split_log_ratio_rows(stack, theta_t):
 def _e_value_p(log_e):
     """The p-value 1/E of an e-value E = exp(log_e), capped at 1."""
     return math.exp(-log_e) if log_e > 0.0 else 1.0
-
-
-def subspace_pointwise_test(sample, alpha):
-    """Pointwise test of the boundaryless null {theta4 = theta5 = 0}."""
-    p = mvn_simple_p_value(sample, project_to_subspace(sample.mean))
-    return decide(p, SUBSPACE_SPEC, alpha, 1)
-
-
-def subspace_neg2_log_lambda(sample):
-    """Exact -2 log LRT statistic for the subspace null: n*(ybar4^2 + ybar5^2)."""
-    ybar = sample.mean
-    return sample.n * float(ybar[3] ** 2 + ybar[4] ** 2)
-
-
-def subspace_lrt_test(sample, alpha):
-    """Traditional LRT for the subspace null (exact under known covariance)."""
-    return lrt_decision_subspace(subspace_neg2_log_lambda(sample), SUBSPACE_SPEC, alpha)

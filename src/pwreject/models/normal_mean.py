@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from pwreject.alpha_prime import NullSpec, _check_level
-from pwreject.distributions import t_cdf, t_quantile
+from pwreject.distributions import t_cdf
 from pwreject.testing import TestDecision, decide
 
 __all__ = [
@@ -121,8 +121,3 @@ def bonferroni_interval_test(sample, a, b, alpha):
     p = min(p_low, p_high)
     cut = alpha / 2.0
     return TestDecision(p <= cut, p, cut, 0)
-
-
-def reject_region_halfwidth(sample, alpha):
-    """The closed-form widening t_{1-alpha, n-1} * s / sqrt(n)."""
-    return t_quantile(1.0 - alpha, sample.n - 1) * _standard_error(sample)

@@ -13,9 +13,10 @@ of datasets: the minimum restricted RSS over the proxy grid for the tests
 and the acceptance intervals for the regions, for both methods at once.
 :func:`decide_batch` runs them on a whole stack; it is what the Monte
 Carlo harness calls.  The per-dataset tests and regions are one-row calls
-of them that read their own method's values.  The reference they are
-checked against is :func:`pwreject.testing.pointwise_test` over the proxy
-grid with :func:`f_stat_p_value`, and :func:`ols_line_fit` for the fit.
+of them that read their own method's values.  The tests check them
+against :func:`pwreject.testing.pointwise_test` over the proxy grid with a
+per-point F-test p-value and a line fit of their own
+(``tests/references.py``).
 
 Every test and region takes alpha in (0, 1), where both the pointwise
 alpha' (the null has no boundary) and the LRT's chi-square cutoff exist.
@@ -27,17 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from pwreject.alpha_prime import NullSpec, _check_level, alpha_prime
-from pwreject.distributions import chi2_cdf, chi2_quantile, f_cdf, f_quantile
+from pwreject.distributions import chi2_cdf, chi2_quantile, f_quantile
 from pwreject.regions import Region1D
-from pwreject.testing import TestDecision, decide, rejections
+from pwreject.testing import TestDecision, _f_test_p_value, decide, rejections
 
 __all__ = [
     "XYData",
     "DegenerateFitError",
-    "ols_line_fit",
-    "fit_psi_phi",
-    "f_stat",
-    "f_stat_p_value",
     "proxy_phi_grid",
     "psi_region_F",
     "psi_region_LRT",
@@ -114,51 +111,6 @@ class XYData:
         return self.y.size
 
 
-def ols_line_fit(data):
-    """Simple-regression OLS: returns (b0_hat, b1_hat, rss_alt)."""
-    xbar = data.x.mean()
-    ybar = data.y.mean()
-    sxx = float(np.sum((data.x - xbar) ** 2))
-    if _constant_covariate(data.x, sxx):
-        raise DegenerateFitError(_DEGENERATE[1])
-    b1 = float(np.sum((data.x - xbar) * (data.y - ybar)) / sxx)
-    b0 = ybar - b1 * xbar
-    rss = float(np.sum((data.y - b0 - b1 * data.x) ** 2))
-    return b0, b1, rss
-
-
-def fit_psi_phi(data):
-    """MLEs (psi_hat, phi_hat) = (b1_hat**2 / b0_hat, b0_hat / b1_hat)."""
-    b0, b1, _ = ols_line_fit(data)
-    sxx = np.sum((data.x - data.x.mean()) ** 2)
-    if _singular_fit(data.x, data.y, sxx, b0, b1):
-        raise DegenerateFitError(_DEGENERATE[2])
-    return b1 * b1 / b0, b0 / b1
-
-
-def f_stat(data, psi0, phi_t, rss_alt=None):
-    """F statistic of the simple null (psi, phi) = (psi0, phi_t)."""
-    if rss_alt is None:
-        _, _, rss_alt = ols_line_fit(data)
-    pred = psi0 * phi_t * data.x + psi0 * phi_t * phi_t
-    rss_null = float(np.sum((data.y - pred) ** 2))
-    return _f_from_rss(rss_null, rss_alt, data.n)
-
-
-def _f_from_rss(rss_null, rss_alt, n):
-    if rss_alt == 0.0:
-        return 0.0 if rss_null == 0.0 else math.inf
-    return max(0.0, rss_null - rss_alt) / 2.0 / (rss_alt / (n - 2))
-
-
-def f_stat_p_value(data, psi0, phi_t, rss_alt=None):
-    return _f_p_value(f_stat(data, psi0, phi_t, rss_alt), data.n)
-
-
-def _f_p_value(f, n):
-    return 0.0 if math.isinf(f) else 1.0 - f_cdf(f, 2, n - 2)
-
-
 def proxy_phi_grid(phi_hat, n, m, width_mult):
     """m midpoints of equal cells spanning phi_hat +- width_mult / sqrt(n)."""
     if not 0.0 < width_mult < math.inf:
@@ -200,7 +152,7 @@ def psi_lrt_test(data, psi0, alpha, m):
     _check_psi(psi0)
     cutoff = _lrt_cutoff(alpha)
     (stat,) = _one_row(data, "test", psi0, alpha, m, TEST_WIDTH)["lrt"]
-    max_p = 0.0 if math.isinf(stat) else 1.0 - chi2_cdf(stat, 1)
+    max_p = 1.0 - chi2_cdf(stat, 1)
     return TestDecision(stat >= cutoff, max_p, alpha, m)
 
 
@@ -294,11 +246,12 @@ def _proxy_rows(x, y, m, width_mult):
     whose fit is not degenerate and otherwise keys its reason in
     ``_DEGENERATE``; such a row is fitted as the line 1 + x, so that every
     value stays finite, and what is computed from it means nothing.  The
-    fit rounds as ``ols_line_fit`` does on one dataset.
+    fit rounds as the OLS line of one dataset does with ``np.mean`` and
+    ``np.sum``.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    # Sums divided by n round as the means and sums of ols_line_fit do.
+    # Sums divided by n round as np.mean and np.sum of one dataset do.
     n = x.shape[1]
     xbar = x.sum(axis=1) / n
     ybar = y.sum(axis=1) / n
@@ -340,7 +293,7 @@ def _statistic_rows(x, y, mode, psi0, alpha, m, width_mult):
         min_rss_null = g.sum(axis=2).min(axis=1)
         pairs = list(zip(min_rss_null.tolist(), rss_alt.tolist()))
         return flag, {
-            "pointwise": [_f_p_value(_f_from_rss(r_null, r_alt, n), n) for r_null, r_alt in pairs],
+            "pointwise": [_f_test_p_value(r_null, r_alt, n - 2) for r_null, r_alt in pairs],
             "lrt": [_lrt_stat(r_null, r_alt, n) for r_null, r_alt in pairs],
         }
     a = np.sum(g * g, axis=2)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from pwreject.alpha_prime import _check_level, alpha_prime
-from pwreject.distributions import chi2_cdf, chi2_quantile
+from pwreject.distributions import chi2_cdf, chi2_quantile, f_cdf
 
 __all__ = ["TestDecision", "decide", "rejections", "pointwise_test", "lrt_decision_subspace"]
 
@@ -69,10 +69,24 @@ def lrt_decision_subspace(neg2_log_lambda, spec, alpha):
     _check_level(alpha)
     if spec.has_boundary:
         raise ValueError("the traditional LRT applies only to boundaryless nulls")
-    if neg2_log_lambda < 0.0:
+    if not neg2_log_lambda >= 0.0:
         raise ValueError("-2 log Lambda must be nonnegative")
     dg = spec.d1 - spec.d0
     p = 1.0 - chi2_cdf(neg2_log_lambda, dg)
     # reject iff the statistic reaches the critical value, i.e. p <= alpha
     reject = neg2_log_lambda >= chi2_quantile(1.0 - alpha, dg)
     return TestDecision(reject, p, alpha, 0)
+
+
+def _f_test_p_value(rss_null, rss_alt, df_den):
+    """p-value of the F test of two linear restrictions, from the restricted
+    and the full residual sums of squares.
+
+    F = max(0, RSS_null - RSS_alt) / 2 / (RSS_alt / df_den) against F(2,
+    df_den); a perfect full fit gives p = 1 if the restricted one is perfect
+    too and p = 0 otherwise.
+    """
+    if rss_alt == 0.0:
+        return 1.0 if rss_null == 0.0 else 0.0
+    f = max(0.0, rss_null - rss_alt) / 2.0 / (rss_alt / df_den)
+    return 1.0 - f_cdf(f, 2, df_den)

@@ -13,11 +13,11 @@ from pwreject.alpha_prime import (
     alpha_prime,
     alpha_prime_no_boundary,
     alpha_prime_with_boundary,
-    boundary_balance_residual,
 )
 from pwreject.distributions import chi2_cdf, chi2_quantile
 from pwreject.models import nuisance as nu
 from pwreject.testing import lrt_decision_subspace
+from references import boundary_balance_residual
 from test_nuisance import make_data
 
 

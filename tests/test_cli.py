@@ -36,7 +36,7 @@ def write_csv(path, header, rows):
 
 @pytest.fixture
 def interval_csv(tmp_path):
-    vals = 2.5 + RngStream(1).standard_normal(20)
+    vals = 2.5 + RngStream(1).generator.standard_normal(20)
     return write_csv(tmp_path / "iv.csv", ["y"], [[v] for v in vals])
 
 
@@ -121,6 +121,16 @@ class TestTestCommand:
         assert main(["test", "--model", "ball", "--data", path, "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["reject"] is False and payload["max_p"] == pytest.approx(1.0)
+
+    def test_overflowing_ball_statistic_rejects(self, tmp_path, capsys):
+        # The chi-square statistic overflows to inf; it printed max_p NaN
+        # and "reject": false.
+        rows = np.zeros((4, 5))
+        rows[:, 0] = 1e200
+        path = write_csv(tmp_path / "b.csv", ["y1", "y2", "y3", "y4", "y5"], rows.tolist())
+        assert main(["test", "--model", "ball", "--data", path, "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["reject"] is True and payload["max_p"] == 0.0
 
     def test_json_output_every_model(self, tmp_path, capsys):
         for model, path in every_model_csv(tmp_path).items():

@@ -91,6 +91,25 @@ class TestF:
             d.f_quantile(1.2, 2, 3)
 
 
+class TestNonFiniteArguments:
+    # A NaN argument or df used to pass every range check and come out as a
+    # nan CDF; the chi-square and F CDFs were nan at x = inf too.
+    @pytest.mark.parametrize("fn, args", [
+        (d.chi2_cdf, (math.nan, 5)), (d.chi2_cdf, (1.0, math.nan)),
+        (d.f_cdf, (math.nan, 2, 7)), (d.f_cdf, (1.0, math.nan, 7)), (d.f_cdf, (1.0, 2, math.nan)),
+        (d.t_cdf, (math.nan, 4)), (d.t_cdf, (1.0, math.nan)),
+    ], ids=["chi2-x", "chi2-df", "f-x", "f-num", "f-den", "t-x", "t-df"])
+    def test_nan_raises(self, fn, args):
+        with pytest.raises(ValueError):
+            fn(*args)
+
+    def test_cdfs_at_infinity_are_one(self):
+        assert d.chi2_cdf(math.inf, 5) == 1.0
+        assert d.f_cdf(math.inf, 2, 7) == 1.0
+        # 2 * x overflows to inf: the CDF rounds to 1 there.
+        assert d.f_cdf(1e308, 2, 7) == 1.0
+
+
 class TestT:
     def test_reference_quantile(self):
         assert d.t_quantile(0.975, 19) == pytest.approx(2.093024, abs=1e-5)
@@ -122,19 +141,17 @@ class TestT:
 
 class TestRngStream:
     def test_reproducible(self):
-        a = d.RngStream(42, 3).standard_normal(8)
-        b = d.RngStream(42, 3).standard_normal(8)
+        a = d.RngStream(42, 3).generator.standard_normal(8)
+        b = d.RngStream(42, 3).generator.standard_normal(8)
         assert (a == b).all()
 
     def test_streams_differ(self):
-        a = d.RngStream(42, 0).standard_normal(8)
-        b = d.RngStream(42, 1).standard_normal(8)
+        a = d.RngStream(42, 0).generator.standard_normal(8)
+        b = d.RngStream(42, 1).generator.standard_normal(8)
         assert (a != b).any()
 
     def test_scalar_and_vector(self):
-        s = d.RngStream(7)
-        assert isinstance(s.standard_normal(), float)
-        assert d.RngStream(7, 2).standard_normal(5).shape == (5,)
+        assert d.RngStream(7, 2).generator.standard_normal(5).shape == (5,)
 
 
 # Seeds below, at and above 2**32, 2**64 and 2**128 (more run-entropy words
@@ -187,10 +204,10 @@ class TestStreamSeeding:
 
     def test_equal_streams_draw_independently(self):
         a, b = d.RngStream(5, 130), d.RngStream(5, 130)
-        first = a.standard_normal(6)
-        a.standard_normal(50)
-        assert np.array_equal(b.standard_normal(6), first)
-        assert np.array_equal(d.RngStream(5, 130).standard_normal(6), first)
+        first = a.generator.standard_normal(6)
+        a.generator.standard_normal(50)
+        assert np.array_equal(b.generator.standard_normal(6), first)
+        assert np.array_equal(d.RngStream(5, 130).generator.standard_normal(6), first)
 
     def test_seed_object_holds_only_the_pcg64_request(self):
         seq = d.RngStream(3, 9).generator.bit_generator.seed_seq
@@ -214,7 +231,7 @@ class TestStreamSeeding:
 
     @pytest.mark.parametrize("seed, index", [(np.int64(2), np.uint32(3)), (np.uint64(2), 3)])
     def test_numpy_integers_are_integers(self, seed, index):
-        want = d.RngStream(int(seed), int(index)).standard_normal(4)
+        want = d.RngStream(int(seed), int(index)).generator.standard_normal(4)
         stream = d.RngStream(seed, index)
         assert type(stream.master_seed) is int and type(stream.index) is int
-        assert np.array_equal(stream.standard_normal(4), want)
+        assert np.array_equal(stream.generator.standard_normal(4), want)

@@ -75,6 +75,22 @@ class TestBackend:
             mod.reg_inc_beta(1.0, 1.0, 1.5)
         with pytest.raises(ValueError, match=r"argument must lie in \[0, 1\]"):
             mod.reg_inc_beta(1.0, 1.0, -0.5)
+        # NaN fails every range check; it used to pass them and come out as nan.
+        with pytest.raises(ValueError, match="shape parameter must be positive"):
+            mod.reg_lower_gamma(math.nan, 1.0)
+        with pytest.raises(ValueError, match="argument must be nonnegative"):
+            mod.reg_lower_gamma(2.5, math.nan)
+        with pytest.raises(ValueError, match="beta parameters must be positive"):
+            mod.reg_inc_beta(math.nan, 1.0, 0.5)
+        with pytest.raises(ValueError, match="beta parameters must be positive"):
+            mod.reg_inc_beta(1.0, math.nan, 0.5)
+        with pytest.raises(ValueError, match=r"argument must lie in \[0, 1\]"):
+            mod.reg_inc_beta(1.0, 1.0, math.nan)
+
+    def test_gamma_at_infinity_is_one(self, mod):
+        # It was nan: the continued fraction's scale is inf - inf there.
+        for s in (0.5, 1.0, 2.5, 50.0):
+            assert mod.reg_lower_gamma(s, math.inf) == 1.0
 
     def test_range_and_endpoints(self, mod):
         assert mod.reg_inc_beta(2.0, 3.0, 0.0) == 0.0

@@ -4,7 +4,7 @@ groups and blocks: a change to the names it reads breaks this test too."""
 import importlib.util
 import os
 
-from pwreject import simulation
+from pwreject import distributions, simulation
 from pwreject.models import MODELS
 
 _PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -20,3 +20,11 @@ def test_block_decisions_equal_per_dataset_tests_at_perfbench_scale():
     differ = [(suite, simulation._decision_key(configs[0])) for suite, configs, rows in groups
               if not layers.decisions_agree(configs, simulation._stack(configs, 0, rows))]
     assert differ == []
+
+
+def test_every_call_site_holds_its_distributions_function():
+    # A function that leaves a module (or moves to another) breaks the
+    # spies of the kernels section; this makes it break tier-1 as well.
+    stale = [(module.__name__, name) for module, name in layers.CALL_SITES
+             if getattr(module, name, None) is not getattr(distributions, name)]
+    assert stale == []

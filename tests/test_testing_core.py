@@ -93,6 +93,14 @@ class TestLrtHelper:
         with pytest.raises(ValueError):
             lrt_decision_subspace(-0.1, NullSpec(5, 3), 0.05)
 
+    def test_infinite_and_nan_statistics(self):
+        # An infinite statistic gave max p = nan, and a nan one "fail to
+        # reject, p = nan".
+        at_inf = lrt_decision_subspace(math.inf, NullSpec(5, 3), 0.05)
+        assert at_inf.reject and at_inf.max_p == 0.0
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            lrt_decision_subspace(math.nan, NullSpec(5, 3), 0.05)
+
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1, math.nan])
     def test_bad_level_is_named_as_a_level(self, alpha):
         # The message was about the probability 1 - alpha ("got -0.5" at
