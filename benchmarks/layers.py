@@ -21,6 +21,13 @@ runs at in perfbench's workloads (fig1, in no workload, at fig2's), and
 - ``decide``: ``simulation._decide`` on each first block against the
   per-dataset tests (the path ``pwreject test`` takes) on its first 16
   rows, in microseconds per replicate.  Both must give the same decisions.
+  ``closest_call`` is, per method, the smallest relative distance of a
+  row of the block from its cut: |s - c| / c of the statistic s from its
+  critical value c (ball, or_null, nuisance tests), |psi - e| / |psi| of
+  the region's psi from the nearest interval endpoint e (nuisance
+  regions), and |p - alpha'| / alpha' of the per-dataset max p (interval).
+  A change that moves the statistics by a relative delta far below it
+  flips no decision of that block.
 - ``harness``: each suite at its perfbench scale, ``run_suite`` (grouped
   by decision key) against ``run_experiment`` on each setting alone, in
   milliseconds per suite call.  Pass k runs both, in alternating order, on
@@ -65,18 +72,19 @@ PERFBENCH_SCALES = {
 SCALES = {"perfbench": PERFBENCH_SCALES, "full": dict.fromkeys(PERFBENCH_SCALES, 1.0)}
 # Rows of each block that the per-dataset tests decide too.
 CHECKED_ROWS = 16
-# Where the models call the CDFs and the quantiles (the F CDF through
-# testing's F-test p-value, which or_null and nuisance share), and where the
-# CDFs call the kernels; distributions holds each of these functions under
-# its name.
+# Where the models call the CDFs and the quantiles (the chi-square and F
+# CDFs through testing's survival function, which ball, or_null and
+# nuisance share), and where the CDFs call the kernels; distributions holds
+# each of these functions under its name.
 CALL_SITES = (
     (distributions, "reg_lower_gamma"), (distributions, "reg_inc_beta"),
-    (mvn_ball, "chi2_cdf"), (testing, "f_cdf"), (normal_mean, "t_cdf"),
+    (testing, "chi2_cdf"), (testing, "f_cdf"), (normal_mean, "t_cdf"),
     (nuisance, "chi2_quantile"), (nuisance, "f_quantile"),
 )
 QUANTILES = ("chi2_quantile", "f_quantile")
 CACHES = (
-    alpha_prime_no_boundary, alpha_prime_with_boundary,
+    alpha_prime_no_boundary, alpha_prime_with_boundary, testing.critical_value,
+    mvn_ball._log_e_critical, nuisance._lrt_ratio_critical,
     distributions.chi2_quantile, distributions.f_quantile, distributions.t_quantile,
     distributions._seed_block, cli.build_parser,
 )
@@ -155,6 +163,36 @@ def decisions_agree(configs, columns):
     rows = min(CHECKED_ROWS, len(columns[0]))
     return np.array_equal(np.array(hits, dtype=bool)[:, :rows],
                           per_dataset(configs[0], columns, rows))
+
+
+def closest_call(config, columns):
+    """{method: the smallest relative distance of a row of the block from its cut}."""
+    model, n = config.model, config.n
+    if model == "interval":
+        rows = range(len(columns[0]))
+        return {method: min(abs(d.max_p - d.alpha_prime_used) / d.alpha_prime_used for d in (
+            test(normal_mean.UnivariateSample(columns[0][b]), 0.0, 1.0, ALPHA) for b in rows))
+            for method, test in zip(config.methods, (
+                normal_mean.interval_null_test, normal_mean.bonferroni_interval_test))}
+    if model == "ball":
+        stat = mvn_ball._statistic_rows(columns[0], mvn_ball.BATCH_METHODS)
+        cut = dict.fromkeys(mvn_ball.BATCH_METHODS, mvn_ball._log_e_critical(ALPHA))
+        cut["pointwise"] = testing.critical_value(ALPHA, mvn_ball.BALL_SPEC, None)
+    elif model == "or_null":
+        stat = {"pointwise": linear_or._statistic_rows(*columns, config.m // 2)[0]}
+        cut = {"pointwise": testing.critical_value(ALPHA, linear_or.NULL_SPEC, n - 3)}
+    else:
+        mode, psi = simulation._nuisance_target(config)
+        width = nuisance.REGION_WIDTH if mode == "coverage" else nuisance.TEST_WIDTH
+        flag, stat = nuisance._statistic_rows(*columns, mode, psi, ALPHA, config.m, width)
+        if mode == "coverage":
+            return {name: float(np.min(np.where(
+                curved, np.minimum(abs(psi - lo), abs(psi - hi)), np.inf)[flag == 0])) / abs(psi)
+                for name, (_, lo, hi, curved) in stat.items()}
+        stat = {name: values[flag == 0] for name, values in stat.items()}
+        cut = {"pointwise": testing.critical_value(ALPHA, nuisance.NULL_SPEC, n - 2),
+               "lrt": nuisance._lrt_ratio_critical(ALPHA, n)}
+    return {name: float(np.min(np.abs(stat[name] - cut[name]))) / cut[name] for name in stat}
 
 
 def recorded_calls(run):
@@ -265,7 +303,8 @@ def main(argv=None):
                 block_us_per_replicate=median_us(
                     lambda: simulation._decide(configs[0], columns), repeats, rows),
                 per_dataset_us_per_replicate=median_us(
-                    lambda: per_dataset(configs[0], columns, checked), repeats, checked)))
+                    lambda: per_dataset(configs[0], columns, checked), repeats, checked),
+                closest_call=closest_call(configs[0], columns)))
 
     index = 5
     stream = lambda: distributions.RngStream(seed, index)  # noqa: E731

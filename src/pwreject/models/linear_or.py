@@ -7,12 +7,14 @@ half-lines: (b1t, 0) with b1t spread over (0, 2*b1_hat), and (0, b2t)
 likewise.  Each simple null is tested with a finite-sample F-test (two
 linear restrictions, intercept free, denominator df n - 3).
 
-The max p-value is written once, as an array function over (B, n) stacks
-of datasets.  :func:`decide_batch` runs it on a whole stack; it is what the
-Monte Carlo harness calls.  :func:`or_null_test` is a one-row call of it.
-The tests check both against :func:`pwreject.testing.pointwise_test` over
-the boundary points with a per-point F-test p-value that fits by
-``lstsq`` (``tests/references.py``).
+The statistic, the smallest F over the boundary points, is written once,
+as an array function over (B, n) stacks of datasets, from a few sums per
+dataset.  :func:`decide_batch` compares it with its cached critical value
+on a whole stack; it is what the Monte Carlo harness calls.
+:func:`or_null_test` is a one-row call of it.  The tests check both
+against :func:`pwreject.testing.pointwise_test` over the boundary points
+with a per-point F-test p-value that fits by ``lstsq``
+(``tests/references.py``).
 """
 
 from dataclasses import dataclass
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from pwreject.alpha_prime import NullSpec
-from pwreject.testing import _f_test_p_value, decide, rejections
+from pwreject.testing import _excess_ratio, decide, p_value, rejections
 
 __all__ = [
     "RegressionData",
@@ -88,26 +90,13 @@ def or_null_test(data, alpha, m_prime):
     fails to reject.  Otherwise rejection requires every boundary point's
     p-value to be at most alpha'.  Since the p-value is monotone
     decreasing in the restricted RSS, the maximum p-value is attained at
-    the point with the smallest restricted RSS, which ``_max_p_rows``
-    locates on the dataset as a one-row stack before the single CDF
-    evaluation.
+    the point with the smallest restricted RSS, whose F statistic
+    ``_statistic_rows`` computes on the dataset as a one-row stack.
     """
-    max_p, outside = _max_p_rows(data.x1[None], data.x2[None], data.y[None], m_prime)
-    # An MLE inside the null is decided over the continuum: max p = 1.
-    return decide(max_p[0], NULL_SPEC, alpha, 2 * m_prime if outside[0] else 0)
-
-
-def _arm_rss(y, slopes, x):
-    """Intercept-only RSS of y - slopes[..., t] * x for every test point t.
-
-    ``y`` and ``x`` are (..., n) and ``slopes`` (..., m'); the result is
-    (..., m').  The residuals are formed, centred and squared in one buffer.
-    """
-    residuals = slopes[..., :, None] * x[..., None, :]
-    np.subtract(y[..., None, :], residuals, out=residuals)
-    residuals -= residuals.mean(axis=-1, keepdims=True)
-    residuals *= residuals
-    return residuals.sum(axis=-1)
+    f_stat, outside = _statistic_rows(data.x1[None], data.x2[None], data.y[None], m_prime)
+    # An MLE inside the null is decided over the continuum: F = 0, max p = 1.
+    max_p = p_value(f_stat[0], NULL_SPEC, data.n - 3)
+    return decide(max_p, NULL_SPEC, alpha, 2 * m_prime if outside[0] else 0)
 
 
 def decide_batch(x1, x2, y, alpha, m_prime):
@@ -116,20 +105,19 @@ def decide_batch(x1, x2, y, alpha, m_prime):
 
     ``x1``, ``x2`` and ``y`` are (B, n) arrays; row b holds dataset b.
     """
-    return rejections(_max_p_rows(x1, x2, y, m_prime)[0], NULL_SPEC, alpha)
+    f_stat, _ = _statistic_rows(x1, x2, y, m_prime)
+    return rejections(f_stat, NULL_SPEC, alpha, np.shape(y)[-1] - 3)
 
 
-def _max_p_rows(x1, x2, y, m_prime):
-    """(max p, outside) for each row of a (B, n) stack.
+def _statistic_rows(x1, x2, y, m_prime):
+    """(F, outside) for each row of a (B, n) stack.
 
     ``outside`` marks the rows whose MLE lies outside the null; the others
-    keep the continuum max p of 1.  The boundary arms and the minimum
-    restricted RSS are computed along the last axis, so a row's value does
-    not depend on the stack around it, and the F p-value is per dataset on
-    the scalar ``f_cdf``.  The OLS fit is a closed-form solve of the
-    centred normal equations instead of ``lstsq``, so a coefficient can
-    differ from ``ols3_fit``'s by a few ULPs; a rank-deficient row raises
-    ``LinAlgError`` as ``ols3_fit`` does.
+    keep F = 0 (max p 1).  F is the smallest over the 2 m' boundary points.
+    RSS_null - RSS_alt at a point beta is the quadratic form of (u, v) =
+    b_hat - beta in the centred Gram matrix, s11 * (u + r * v)**2 + e22 *
+    v**2 (``_ols3_rows``): two nonnegative terms, with no cancellation.  The
+    sums are along the last axis, so a row's F is that of its one-row stack.
     """
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
@@ -143,25 +131,31 @@ def _max_p_rows(x1, x2, y, m_prime):
         raise ValueError("m_prime must be >= 1")
     if not (np.isfinite(x1).all() and np.isfinite(x2).all() and np.isfinite(y).all()):
         raise ValueError("x1, x2 and y must be finite (no nan or inf)")
-    b1, b2, rss_alt = _ols3_rows(x1, x2, y)
-    p = np.ones(len(y))
+    b1, b2, rss_alt, s11, r, e22 = _ols3_rows(x1, x2, y)
     out = (b1 > 0.0) & (b2 > 0.0)
-    x1, x2, y, b1, b2 = x1[out], x2[out], y[out], b1[out], b2[out]
+    b1, b2, s11, r, e22 = (v[out, None] for v in (b1, b2, s11, r, e22))
+    # Point t of arm 1 is (s_t, 0) and of arm 2 (0, s_t), with s_t = 2 *
+    # b_hat * t / (m' + 1) of the arm's own coefficient.
     fracs = np.arange(1, m_prime + 1) / (m_prime + 1.0)
-    rss_b1 = _arm_rss(y, 2.0 * b1[:, None] * fracs, x1)
-    rss_b2 = _arm_rss(y, 2.0 * b2[:, None] * fracs, x2)
-    min_rss = np.minimum(rss_b1.min(axis=1), rss_b2.min(axis=1))
-    pairs = zip(min_rss.tolist(), rss_alt[out].tolist())
-    p[out] = [_f_test_p_value(r_null, r_alt, n - 3) for r_null, r_alt in pairs]
-    return p, out
+    zeros = np.zeros(m_prime)
+    u = b1 - 2.0 * b1 * np.concatenate([fracs, zeros])
+    v = b2 - 2.0 * b2 * np.concatenate([zeros, fracs])
+    u += r * v
+    excess = (s11 * u * u + e22 * v * v).min(axis=1)
+    f_stat = np.zeros(len(y))
+    f_stat[out] = _excess_ratio(excess, rss_alt[out]) * ((n - 3) / 2.0)
+    return f_stat, out
 
 
 def _ols3_rows(x1, x2, y):
-    """(b1, b2, rss) of the fit of y on (1, x1, x2), for each row of a (B, n) stack.
+    """(b1, b2, rss, s11, r, e22) of the fit of y on (1, x1, x2), for each row of a (B, n) stack.
 
-    The slopes solve the centred 2 x 2 normal equations by Cramer's rule.
-    A row whose design is not well posed (see ``_WELL_POSED``) is fitted by
-    ``ols3_fit`` instead, which raises ``LinAlgError`` if it is rank deficient.
+    The slopes solve the centred 2 x 2 normal equations by Cramer's rule
+    (a few ULPs from ``ols3_fit``'s).  A row whose design is not well posed
+    (see ``_WELL_POSED``) is fitted by ``ols3_fit`` instead, which raises
+    ``LinAlgError`` if it is rank deficient.  The centred Gram matrix is
+    [[1, 0], [r, 1]] diag(s11, e22) [[1, r], [0, 1]], with r = s12 / s11 and
+    e22 the sum of squares of x2's centred residual on x1.
     """
     n = y.shape[1]
     m1, m2 = x1.mean(axis=1), x2.mean(axis=1)
@@ -180,4 +174,6 @@ def _ols3_rows(x1, x2, y):
     for row in np.flatnonzero(ill_posed):
         fit = ols3_fit(RegressionData(x1[row], x2[row], y[row]))
         b1[row], b2[row], rss[row] = fit.coefficients[1], fit.coefficients[2], fit.rss
-    return b1, b2, rss
+    r = s12 / s11
+    e2 = d2 - r[:, None] * d1
+    return b1, b2, rss, s11, r, np.sum(e2 * e2, axis=1)

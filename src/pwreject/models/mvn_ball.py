@@ -10,11 +10,12 @@ chi-square-5 statistic, exact at every n).
 
 Universal-inference baselines (split LRT, cross-fit LRT) live here too.
 
-Each test's p-value is written once, as an array function over a (B, n,
-5) stack of samples.  :func:`decide_batch` runs all three tests on a
-whole stack; it is what the Monte Carlo harness calls.  The per-sample
-tests are one-row calls of it on ``sample.rows[None]``.  The tests check
-them against :func:`pwreject.testing.pointwise_test` with the simple-null
+Each test's statistic (chi-square, or log E of an e-value E) is written
+once, as an array function over a (B, n, 5) stack of samples.
+:func:`decide_batch` compares them with cached critical values on a whole
+stack; it is what the Monte Carlo harness calls.  The per-sample tests are
+one-row calls of it on ``sample.rows[None]``.  The tests check them
+against :func:`pwreject.testing.pointwise_test` with the simple-null
 chi-square p-value at a projection of their own; the boundaryless subspace
 null, on which the pointwise test equals the traditional LRT, is a fixture
 there too (``tests/references.py``).
@@ -27,8 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from pwreject.alpha_prime import NullSpec, _check_level
-from pwreject.distributions import chi2_cdf
-from pwreject.testing import TestDecision, decide, rejections
+from pwreject.testing import TestDecision, _least_double, decide, p_value, rejections
 
 __all__ = [
     "MvnSample",
@@ -81,7 +81,7 @@ def _read_only(arr):
 
 def ball_pointwise_test(sample, alpha):
     """Pointwise test of the ball-and-subspace null at the projection point."""
-    return decide(_one_row_p(sample, "pointwise"), BALL_SPEC, alpha, 1)
+    return decide(p_value(_one_row(sample, "pointwise"), BALL_SPEC, None), BALL_SPEC, alpha, 1)
 
 
 def split_lrt_test(sample, alpha):
@@ -96,13 +96,20 @@ def cross_fit_lrt_test(sample, alpha):
 
 def _e_value_test(sample, method, alpha):
     # U > 1/alpha expressed through the e-value's implied p-value 1/U.
+    cut = _log_e_critical(alpha)
+    log_e = _one_row(sample, method)
+    return TestDecision(log_e >= cut, math.exp(-log_e) if log_e > 0.0 else 1.0, alpha, 1)
+
+
+@functools.lru_cache(maxsize=128)
+def _log_e_critical(alpha):
+    """The least log E at which the p-value 1/E = exp(-log E) of an e-value falls below alpha."""
     _check_level(alpha)
-    p = _one_row_p(sample, method)
-    return TestDecision(p < alpha, p, alpha, 1)
+    return _least_double(lambda log_e: log_e > 0.0 and math.exp(-log_e) < alpha)
 
 
-def _one_row_p(sample, method):
-    return _p_value_rows(sample.rows[None], (method,))[method][0]
+def _one_row(sample, method):
+    return _statistic_rows(sample.rows[None], (method,))[method][0]
 
 
 def decide_batch(stack, alpha):
@@ -112,7 +119,7 @@ def decide_batch(stack, alpha):
     the split tests need two observations.  The result has one bool array
     of length B per name in ``BATCH_METHODS``, in that order, and entry b
     equals the ``reject`` of the matching per-sample test on
-    ``MvnSample(stack[b])``, which reads the same p-values from a one-row
+    ``MvnSample(stack[b])``, which reads the same statistics from a one-row
     stack.  ``alpha`` must lie in (0, 1/2), because the batch always runs
     the pointwise test, whose alpha' needs it; ``split_lrt_test`` and
     ``cross_fit_lrt_test`` alone take alpha in (0, 1).
@@ -123,37 +130,33 @@ def decide_batch(stack, alpha):
         raise ValueError("need a (B, n, 5) stack with n >= 2")
     if not np.isfinite(stack).all():
         raise ValueError("observations must be finite (no nan or inf)")
-    p = _p_value_rows(stack, BATCH_METHODS)
-    return [
-        rejections(p[m], BALL_SPEC, alpha) if m == "pointwise" else np.array(p[m]) < alpha
-        for m in BATCH_METHODS
-    ]
+    stat = _statistic_rows(stack, BATCH_METHODS)
+    return [rejections(stat["pointwise"], BALL_SPEC, alpha, None)] + [
+        stat[m] >= _log_e_critical(alpha) for m in BATCH_METHODS[1:]]
 
 
-def _p_value_rows(stack, methods):
-    """The p-value of each named test on each sample of a (B, n, 5) stack.
+def _statistic_rows(stack, methods):
+    """The statistic of each named test on each sample of a (B, n, 5) stack.
 
-    One list per name in ``methods``: the chi-square p-value at the
+    One array per name in ``methods``: the chi-square statistic at the
     projection for "pointwise", and for "split_lrt" and "crossfit_lrt" the
-    p-value 1/E of the held-out e-value, E = U1 or (U1 + U2) / 2.  The
-    means, the projection and the squared distances are axis reductions,
-    so each sample's values do not depend on the stack around it, and the
-    chi-square and e-value p-values are per sample on the scalar kernel
-    and ``math.exp``.
+    log of the held-out e-value, E = U1 or (U1 + U2) / 2.  The means, the
+    projection and the squared distances are axis reductions, so each
+    sample's values do not depend on the stack around it.
     """
     n = stack.shape[1]
     mean = stack.mean(axis=1)
     proj = _project_rows_to_null(mean)
-    p = {}
+    stat = {}
     if "pointwise" in methods:
-        stat = n * _sq_norms(mean - proj)
-        p["pointwise"] = [1.0 - chi2_cdf(s, DIM) for s in stat.tolist()]
+        # A mean beyond about 1e154 gives an infinite statistic, which rejects.
+        with np.errstate(over="ignore"):
+            stat["pointwise"] = n * _sq_norms(mean - proj)
     if any(m != "pointwise" for m in methods):
         log_u1, log_u2 = _split_log_ratio_rows(stack, proj)
-        log_avg = np.logaddexp(log_u1, log_u2) - math.log(2.0)
-        p["split_lrt"] = [_e_value_p(x) for x in log_u1.tolist()]
-        p["crossfit_lrt"] = [_e_value_p(x) for x in log_avg.tolist()]
-    return p
+        stat["split_lrt"] = log_u1
+        stat["crossfit_lrt"] = np.logaddexp(log_u1, log_u2) - math.log(2.0)
+    return stat
 
 
 def _sq_norms(diff):
@@ -167,12 +170,17 @@ def _project_rows_to_null(means):
     The tail is zeroed and a head outside the unit ball is scaled onto its
     sphere; heads inside are divided by 1.0, which leaves them unchanged.
     The head norm is a batched matmul, which rounds like ``np.linalg.norm``
-    of one row; ``np.sum(h * h, axis=1)`` does not.
+    of one row; ``np.sum(h * h, axis=1)`` does not.  Only a head whose
+    squared norm overflows is first divided by its largest |component|.
     """
     head = means[:, :3]
-    norm = np.sqrt((head[:, None, :] @ head[:, :, None])[:, 0, 0])
+    with np.errstate(over="ignore"):
+        norm = np.sqrt((head[:, None, :] @ head[:, :, None])[:, 0, 0])
     out = np.zeros_like(means)
     out[:, :3] = head / np.maximum(norm, 1.0)[:, None]
+    huge = norm == np.inf
+    if huge.any():
+        out[huge, :3] = _project_rows_to_null(head[huge] / np.abs(head[huge]).max(axis=1)[:, None])
     return out
 
 
@@ -195,8 +203,3 @@ def _split_log_ratio_rows(stack, theta_t):
     log_u1 = 0.5 * n1 * (to_t1 - between)
     log_u2 = 0.5 * (n - n1) * (to_t2 - between)
     return log_u1, log_u2
-
-
-def _e_value_p(log_e):
-    """The p-value 1/E of an e-value E = exp(log_e), capped at 1."""
-    return math.exp(-log_e) if log_e > 0.0 else 1.0

@@ -9,11 +9,12 @@ For a fixed phi_t the restricted RSS is quadratic in psi0, so the
 acceptance set {psi0 : F <= threshold} is an interval in closed form.
 
 The statistics are written once, as array functions over (B, n) stacks
-of datasets: the minimum restricted RSS over the proxy grid for the tests
-and the acceptance intervals for the regions, for both methods at once.
-:func:`decide_batch` runs them on a whole stack; it is what the Monte
-Carlo harness calls.  The per-dataset tests and regions are one-row calls
-of them that read their own method's values.  The tests check them
+of datasets, for both methods at once: the smallest RSS_null - RSS_alt
+over the proxy grid for the tests, from a few sums of the OLS line, and
+the acceptance intervals for the regions.  :func:`decide_batch` runs them
+on a whole stack; it is what the Monte Carlo harness calls.  The
+per-dataset tests and regions are one-row calls of them that read their
+own method's values.  The tests check them
 against :func:`pwreject.testing.pointwise_test` over the proxy grid with a
 per-point F-test p-value and a line fit of their own
 (``tests/references.py``).
@@ -22,6 +23,7 @@ Every test and region takes alpha in (0, 1), where both the pointwise
 alpha' (the null has no boundary) and the LRT's chi-square cutoff exist.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -30,7 +32,8 @@ import numpy as np
 from pwreject.alpha_prime import NullSpec, _check_level, alpha_prime
 from pwreject.distributions import chi2_cdf, chi2_quantile, f_quantile
 from pwreject.regions import Region1D
-from pwreject.testing import TestDecision, _f_test_p_value, decide, rejections
+from pwreject.testing import (
+    TestDecision, _excess_ratio, _least_double, decide, p_value, rejections)
 
 __all__ = [
     "XYData",
@@ -56,7 +59,7 @@ class DegenerateFitError(ValueError):
     """OLS estimates make the (psi, phi) reparameterization singular."""
 
 
-# Why a fit is degenerate, keyed by the flag ``_proxy_rows`` gives its row.
+# Why a fit is degenerate, keyed by the flag ``_line_fit_rows`` gives its row.
 _DEGENERATE = {1: "covariate is constant", 2: "OLS estimates give a singular reparameterization"}
 # Centring a constant covariate leaves rounding noise of up to a few eps of
 # its magnitude (about 3.1 eps seen for n up to 1e5), not exact zeros.
@@ -142,18 +145,18 @@ def _region(data, method, alpha, m, width_mult):
 def psi_pointwise_test(data, psi0, alpha, m):
     """Test H0: psi = psi0 by pointwise rejection over proxy phi values."""
     _check_psi(psi0)
-    (max_p,) = _one_row(data, "test", psi0, alpha, m, TEST_WIDTH)["pointwise"]
-    return decide(max_p, NULL_SPEC, alpha, m)
+    (f_stat,) = _one_row(data, "test", psi0, alpha, m, TEST_WIDTH)["pointwise"]
+    return decide(p_value(f_stat, NULL_SPEC, data.n - 2), NULL_SPEC, alpha, m)
 
 
 def psi_lrt_test(data, psi0, alpha, m):
     """LRT baseline: reject when n*log(RSS_null / RSS_alt) clears the
     chi2_{1-alpha, 1} cutoff at every proxy point."""
     _check_psi(psi0)
-    cutoff = _lrt_cutoff(alpha)
-    (stat,) = _one_row(data, "test", psi0, alpha, m, TEST_WIDTH)["lrt"]
-    max_p = 1.0 - chi2_cdf(stat, 1)
-    return TestDecision(stat >= cutoff, max_p, alpha, m)
+    ratio_cut = _lrt_ratio_critical(alpha, data.n)
+    (ratio,) = _one_row(data, "test", psi0, alpha, m, TEST_WIDTH)["lrt"]
+    max_p = 1.0 - chi2_cdf(data.n * math.log1p(ratio), 1)
+    return TestDecision(ratio >= ratio_cut, max_p, alpha, m)
 
 
 def _check_psi(psi):
@@ -170,19 +173,12 @@ def _one_row(data, *args):
     return out
 
 
-def _lrt_stat(min_rss_null, rss_alt, n):
-    """n * log(RSS_null / RSS_alt), clamped at zero."""
-    if rss_alt == 0.0:
-        return 0.0 if min_rss_null == 0.0 else math.inf
-    # The null family is nested in the line family, so RSS_null >= RSS_alt
-    # up to rounding; clamp the statistic at zero.
-    ratio = min_rss_null / rss_alt
-    return n * math.log(ratio) if ratio > 1.0 else 0.0
-
-
-def _lrt_cutoff(alpha):
+@functools.lru_cache(maxsize=256)
+def _lrt_ratio_critical(alpha, n):
+    """The least (RSS_null - RSS_alt) / RSS_alt with n * log1p(it) >= chi2_{1-alpha, 1}."""
     _check_level(alpha)
-    return chi2_quantile(1.0 - alpha, 1)
+    cutoff = chi2_quantile(1.0 - alpha, 1)
+    return _least_double(lambda ratio: n * math.log1p(ratio) >= cutoff)
 
 
 def _region_rss_factor(method, alpha, n):
@@ -210,10 +206,10 @@ def decide_batch(x, y, mode, alpha, m, psi):
     ``BATCH_METHODS``, and the bool array of length B that marks the
     datasets whose fit is degenerate (constant x, or b1_hat or b0_hat zero
     up to rounding, where the per-dataset functions raise
-    :class:`DegenerateFitError`).  A
-    flagged row hits for no method; on every other row b the hits equal
-    the per-dataset results on ``XYData(x[b], y[b])``, which are one-row
-    calls of the same ``_statistic_rows``.
+    :class:`DegenerateFitError`).  A flagged row hits for no method; on
+    every other row b the hits equal the per-dataset results on
+    ``XYData(x[b], y[b])``, which are one-row calls of the same
+    ``_statistic_rows``.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -232,25 +228,22 @@ def decide_batch(x, y, mode, alpha, m, psi):
         hits = [whole_line | (curved & (lo <= psi) & (psi <= hi)).any(axis=1)
                 for whole_line, lo, hi, curved in (rows[name] for name in BATCH_METHODS)]
     else:
-        hits = [rejections(rows["pointwise"], NULL_SPEC, alpha),
-                np.array(rows["lrt"]) >= _lrt_cutoff(alpha)]
+        hits = [rejections(rows["pointwise"], NULL_SPEC, alpha, x.shape[1] - 2),
+                rows["lrt"] >= _lrt_ratio_critical(alpha, x.shape[1])]
     kept = flag == 0
     return [row_hits & kept for row_hits in hits], ~kept
 
 
-def _proxy_rows(x, y, m, width_mult):
-    """The fit, the proxy grid and the regressors of each dataset of a (B, n) stack.
+def _line_fit_rows(x, y):
+    """The OLS line of each dataset of a (B, n) stack.
 
-    Returns ``(flag, rss_alt, g)``, with ``rss_alt`` (B,) and the (B, m, n)
-    regressors g[b, t] = phi_t * x[b] + phi_t**2.  ``flag`` is 0 for a row
-    whose fit is not degenerate and otherwise keys its reason in
-    ``_DEGENERATE``; such a row is fitted as the line 1 + x, so that every
-    value stays finite, and what is computed from it means nothing.  The
-    fit rounds as the OLS line of one dataset does with ``np.mean`` and
-    ``np.sum``.
+    Returns ``(flag, b0, b1, xbar, sxx, rss_alt)``: the line, the mean and
+    centred sum of squares of x and the residual sum of squares, each (B,).
+    ``flag`` is 0 for a row whose fit is not degenerate and otherwise keys
+    its reason in ``_DEGENERATE``; such a row is fitted as the line 1 + x,
+    so that every value stays finite, and what is computed from it means
+    nothing.  The fit rounds as ``np.mean`` and ``np.sum`` of one dataset.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
     # Sums divided by n round as np.mean and np.sum of one dataset do.
     n = x.shape[1]
     xbar = x.sum(axis=1) / n
@@ -265,37 +258,37 @@ def _proxy_rows(x, y, m, width_mult):
     b0, b1 = np.where(flag == 0, b0, 1.0), np.where(flag == 0, b1, 1.0)
     residuals = y - b0[:, None] - b1[:, None] * x
     rss_alt = (residuals * residuals).sum(axis=1)
-    grid = proxy_phi_grid((b0 / b1)[:, None], n, m, width_mult)
-    g = grid[:, :, None] * x[:, None, :]
-    g += (grid * grid)[:, :, None]
-    return flag, rss_alt, g
+    return flag, b0, b1, xbar, sxx, rss_alt
 
 
 def _statistic_rows(x, y, mode, psi0, alpha, m, width_mult):
     """What both methods compute on each dataset of a (B, n) stack.
 
-    Returns ``(flag, out)`` with ``flag`` from ``_proxy_rows`` and, per
+    Returns ``(flag, out)`` with ``flag`` from ``_line_fit_rows`` and, per
     name in ``BATCH_METHODS``, its values per row; those of a flagged row
     mean nothing.  In ``mode`` "test", for H0: psi = psi0 at the smallest
-    RSS_null over the proxy grid: a list of max p-values for "pointwise"
-    and of n * log(RSS_null / RSS_alt) for "lrt", per dataset on the scalar
-    ``f_cdf`` and ``math.log``; alpha is not read.  In ``mode`` "coverage":
-    the ``_endpoints`` of the method's region at level alpha, with
-    RSS_null(psi0, phi_t) = a*psi0**2 - 2*b*psi0 + c at each proxy point.
+    RSS_null over the proxy grid: the F statistic for "pointwise" and the
+    ratio (RSS_null - RSS_alt) / RSS_alt for "lrt"; alpha is not read.  The
+    OLS residuals are orthogonal to 1 and x, so with d = psi0 * phi_t - b1,
+    RSS_null - RSS_alt = sxx * d**2 + n * (d * xbar + psi0 * phi_t**2 -
+    b0)**2, on (B, m) arrays.  In ``mode`` "coverage": the
+    ``_endpoints`` of the method's region at level alpha, with
+    RSS_null(psi0, phi_t) = a*psi0**2 - 2*b*psi0 + c at each proxy point,
+    from the (B, m, n) regressors g = phi_t * x + phi_t**2.
     """
-    flag, rss_alt, g = _proxy_rows(x, y, m, width_mult)
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    flag, b0, b1, xbar, sxx, rss_alt = _line_fit_rows(x, y)
     n = y.shape[1]
+    grid = proxy_phi_grid((b0 / b1)[:, None], n, m, width_mult)
     if mode == "test":
-        # The null residuals y - psi0 * g and their squares, formed in g's buffer.
-        g *= psi0
-        np.subtract(y[:, None, :], g, out=g)
-        g *= g
-        min_rss_null = g.sum(axis=2).min(axis=1)
-        pairs = list(zip(min_rss_null.tolist(), rss_alt.tolist()))
-        return flag, {
-            "pointwise": [_f_test_p_value(r_null, r_alt, n - 2) for r_null, r_alt in pairs],
-            "lrt": [_lrt_stat(r_null, r_alt, n) for r_null, r_alt in pairs],
-        }
+        slope_gap = psi0 * grid - b1[:, None]
+        level_gap = slope_gap * xbar[:, None] + psi0 * grid * grid - b0[:, None]
+        excess = (sxx[:, None] * slope_gap**2 + n * level_gap**2).min(axis=1)
+        ratio = _excess_ratio(excess, rss_alt)
+        return flag, {"pointwise": ratio * ((n - 2) / 2.0), "lrt": ratio}
+    g = grid[:, :, None] * x[:, None, :]
+    g += (grid * grid)[:, :, None]
     a = np.sum(g * g, axis=2)
     b = np.sum(y[:, None, :] * g, axis=2)
     c = np.sum(y * y, axis=1)

@@ -24,12 +24,12 @@ decide the whole stack at once
 (:func:`pwreject.models.mvn_ball.decide_batch` on the (B, n, 5) draws,
 :func:`pwreject.models.nuisance.decide_batch` on the (B, n) x and y,
 :func:`pwreject.models.linear_or.decide_batch` on the (B, n) x1, x2 and
-y); the interval model decides it row by row with its per-sample tests.
-A block's largest array holds at most about 4 MB: the (B, n, 5) draws,
-the nuisance model's (B, m, n) proxy regressors or the or_null model's
-(B, m / 2, n) boundary-arm residuals.  The hits are aligned with the rows,
-and each setting's rates are counts over its own slice of them, so a seed
-fixes every rate bit for bit, whatever the block length or the group.
+y), each comparing its statistics with cached critical values; the
+interval model decides it row by row with its per-sample tests.  A
+block's arrays hold about 4 MB (``_block_length``).  The hits are aligned
+with the rows, and each setting's rates are counts over its own slice of
+them, so a seed fixes every rate bit for bit, whatever the block length
+or the group.
 """
 
 import math
@@ -50,8 +50,8 @@ MODES = ("type1", "power", "coverage")
 # Every setting tests at level 0.05; the nuisance tests test H0: psi = 1.
 _ALPHA = 0.05
 _PSI0 = 1.0
-# Floats in a block's largest array (4 MB of float64); a block is at least
-# one replicate.
+# Floats a block's arrays fit (4 MB of float64; see _block_length); a block
+# is at least one replicate.
 _BLOCK_FLOATS = 2**19
 
 
@@ -221,17 +221,18 @@ def _decide(config, columns):
 
 
 def _block_length(config):
-    """Rows per block, so that the block's largest array fits _BLOCK_FLOATS.
+    """Rows per block, so that the block's arrays fit _BLOCK_FLOATS.
 
-    That array is the (B, m, n) proxy regressor tensor for the nuisance
-    model, each (B, m / 2, n) boundary-arm residual tensor for the or_null
-    model and the (B, n, 5) draws for the ball model; interval blocks take
-    the ball model's length.
+    The nuisance regions hold the (B, m, n) proxy regressors.  The nuisance
+    tests and the or_null model hold about five arrays at a time, each
+    either (B, m) statistics over the test points or (B, C * n) draws of C
+    data columns.  Otherwise the block fits the (B, n, 5) draws of the ball
+    model; interval blocks take the ball model's length.
     """
-    if config.model == "nuisance":
+    if config.mode == "coverage":
         per_replicate = config.m * config.n
-    elif config.model == "or_null":
-        per_replicate = config.m // 2 * config.n
+    elif config.model in ("nuisance", "or_null"):
+        per_replicate = 5 * max(len(MODELS[config.model].columns) * config.n, config.m)
     else:
         per_replicate = config.n * mvn_ball.DIM
     return max(1, _BLOCK_FLOATS // per_replicate)

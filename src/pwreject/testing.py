@@ -3,9 +3,12 @@
 A simple-null tester is any callable ``tester(point) -> p-value`` for
 H0: theta = point on a fixed observed dataset.  The composite decision
 compares the maximum p-value across test points with the modified level
-alpha' (:func:`decide`, which the models call).  Ties at the threshold reject.
+alpha' (:func:`decide`).  Ties at the threshold reject.  A stack of
+statistics whose max p is the survival function :func:`p_value` is
+decided as "statistic >= c" (:func:`rejections`, :func:`critical_value`).
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,7 +16,12 @@ import numpy as np
 from pwreject.alpha_prime import _check_level, alpha_prime
 from pwreject.distributions import chi2_cdf, chi2_quantile, f_cdf
 
-__all__ = ["TestDecision", "decide", "rejections", "pointwise_test", "lrt_decision_subspace"]
+__all__ = ["TestDecision", "decide", "rejections", "critical_value", "p_value", "pointwise_test",
+           "lrt_decision_subspace"]
+
+# Within this relative distance of c, p_value may round out of order (a few
+# ULPs of c for F(2, 17) and F(2, 97)), so the p-value decides there.
+_NEAR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -44,9 +52,42 @@ def decide(max_p, spec, alpha, n_points):
     return TestDecision(max_p <= ap, max_p, ap, n_points)
 
 
-def rejections(max_p, spec, alpha):
-    """:func:`decide`'s rule over an array of max p-values: a bool array."""
-    return np.asarray(max_p, dtype=float) <= alpha_prime(alpha, spec)
+def p_value(stat, spec, df_den):
+    """The chi2_{d1} (``df_den`` None) or F(d1, df_den) survival function at ``stat``."""
+    if df_den is None:
+        return 1.0 - chi2_cdf(stat, spec.d1)
+    return 1.0 - f_cdf(stat, spec.d1, df_den)
+
+
+@functools.lru_cache(maxsize=256)
+def critical_value(alpha, spec, df_den):
+    """The statistic c with ``p_value(c) <= alpha'`` where the double below c fails it."""
+    ap = alpha_prime(alpha, spec)
+    return _least_double(lambda s: p_value(s, spec, df_den) <= ap)
+
+
+def _least_double(holds):
+    """The double x with ``holds(x)`` and not ``holds`` of the double below it,
+    by bisection over the bit patterns of [0, inf], which are ordered as the
+    doubles are; ``holds`` must fail at 0 and hold at inf."""
+    lo, hi = 0, 0x7FF0000000000000  # the bits of 0.0 and of inf
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if holds(float(np.int64(mid).view(np.float64))) else (mid, hi)
+    return float(np.int64(hi).view(np.float64))
+
+
+def rejections(stat, spec, alpha, df_den):
+    """:func:`decide`'s rule at the max p ``p_value(stat)`` over an array of statistics.
+
+    A bool array: ``stat >= critical_value(...)``, with no CDF call except
+    for a statistic within ``_NEAR`` of c, which its p-value decides.
+    """
+    c = critical_value(alpha, spec, df_den)
+    reject = stat >= c
+    for i in np.flatnonzero(np.abs(stat - c) <= _NEAR * c):
+        reject[i] = p_value(stat[i], spec, df_den) <= alpha_prime(alpha, spec)
+    return reject
 
 
 def pointwise_test(tester, points, spec, alpha):
@@ -78,15 +119,11 @@ def lrt_decision_subspace(neg2_log_lambda, spec, alpha):
     return TestDecision(reject, p, alpha, 0)
 
 
-def _f_test_p_value(rss_null, rss_alt, df_den):
-    """p-value of the F test of two linear restrictions, from the restricted
-    and the full residual sums of squares.
+def _excess_ratio(excess, rss_alt):
+    """(RSS_null - RSS_alt) / RSS_alt per element, from the excess RSS_null - RSS_alt >= 0.
 
-    F = max(0, RSS_null - RSS_alt) / 2 / (RSS_alt / df_den) against F(2,
-    df_den); a perfect full fit gives p = 1 if the restricted one is perfect
-    too and p = 0 otherwise.
+    Times df_den / 2 it is the F statistic of two linear restrictions.  A
+    zero excess gives 0, a positive one over RSS_alt = 0 gives inf.
     """
-    if rss_alt == 0.0:
-        return 1.0 if rss_null == 0.0 else 0.0
-    f = max(0.0, rss_null - rss_alt) / 2.0 / (rss_alt / df_den)
-    return 1.0 - f_cdf(f, 2, df_den)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(excess > 0.0, excess / rss_alt, 0.0)

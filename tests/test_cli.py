@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -124,13 +125,30 @@ class TestTestCommand:
 
     def test_overflowing_ball_statistic_rejects(self, tmp_path, capsys):
         # The chi-square statistic overflows to inf; it printed max_p NaN
-        # and "reject": false.
+        # and "reject": false.  The projection of the mean lies on the unit
+        # sphere (a head beyond about 1.3e154 was sent to the origin), and
+        # no numpy warning is printed (two overflow warnings were).
         rows = np.zeros((4, 5))
         rows[:, 0] = 1e200
         path = write_csv(tmp_path / "b.csv", ["y1", "y2", "y3", "y4", "y5"], rows.tolist())
-        assert main(["test", "--model", "ball", "--data", path, "--format", "json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["test", "--model", "ball", "--data", path, "--format", "json"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        payload = json.loads(out)
         assert payload["reject"] is True and payload["max_p"] == 0.0
+        heads = np.array([[1e200, 0, 0], [-3e300, 4e300, 0], [1e155, 1e155, 1e155],
+                          [0.5, 0, 0], [2.0, 1e-300, 0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            proj = mvn_ball._project_rows_to_null(np.column_stack([heads, np.ones((5, 2))]))
+        assert np.array_equal(proj[:, 3:], np.zeros((5, 2)))
+        assert np.allclose(np.linalg.norm(proj[[0, 1, 2, 4], :3], axis=1), 1.0, rtol=1e-15, atol=0)
+        assert proj[:2, :3].tolist() == [[1.0, 0, 0], [-0.6, 0.8, 0]]
+        assert proj[2, :3].tolist() == pytest.approx([3**-0.5] * 3, rel=1e-15)
+        # Rows whose squared norm does not overflow keep their bits.
+        assert proj[3:, :3].tolist() == [[0.5, 0, 0], [1.0, 5e-301, 0]]
 
     def test_json_output_every_model(self, tmp_path, capsys):
         for model, path in every_model_csv(tmp_path).items():

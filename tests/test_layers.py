@@ -2,6 +2,7 @@
 groups and blocks: a change to the names it reads breaks this test too."""
 
 import importlib.util
+import math
 import os
 
 from pwreject import distributions, simulation
@@ -28,3 +29,13 @@ def test_every_call_site_holds_its_distributions_function():
     stale = [(module.__name__, name) for module, name in layers.CALL_SITES
              if getattr(module, name, None) is not getattr(distributions, name)]
     assert stale == []
+
+
+def test_closest_call_is_finite_on_every_perfbench_group():
+    # The census of how near each method's rows come to their cut: a
+    # distance per method of the group's model, finite (a NaN or an empty
+    # block would read inf or raise).
+    for suite, configs, rows in layers.groups(0, "perfbench"):
+        calls = layers.closest_call(configs[0], simulation._stack(configs, 0, rows))
+        assert list(calls) == list(configs[0].methods), suite
+        assert all(0.0 <= value < math.inf for value in calls.values()), (suite, calls)

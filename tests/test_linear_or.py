@@ -1,5 +1,7 @@
 """Or-linked regression null: F-test vs pseudoinverse refit oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,9 +9,10 @@ from hypothesis import strategies as st
 
 import oracles
 import references
+from pwreject import simulation
 from pwreject.distributions import RngStream
 from pwreject.models import linear_or as lo
-from pwreject.testing import decide, pointwise_test
+from pwreject.testing import decide, p_value, pointwise_test
 
 
 def make_data(seed=0, n=30, b1=1.0, b2=0.0, b0=0.0):
@@ -154,6 +157,12 @@ def reference_decision(data, alpha, m_prime):
     )
 
 
+def batch_max_p(x1, x2, y, m_prime):
+    """The max p of each row of a stack: the F survival function at its statistic."""
+    f_stat, _ = lo._statistic_rows(x1, x2, y, m_prime)
+    return np.array([p_value(f, lo.NULL_SPEC, y.shape[1] - 3) for f in f_stat.tolist()])
+
+
 def assert_batch_matches_reference(x1, x2, y, alpha, m_prime):
     """decide_batch and the batch max p against the reference; returns (rejects, max p).
 
@@ -161,7 +170,7 @@ def assert_batch_matches_reference(x1, x2, y, alpha, m_prime):
     dataset alone, bit for bit.
     """
     rejects = lo.decide_batch(x1, x2, y, alpha, m_prime)
-    max_p, _ = lo._max_p_rows(x1, x2, y, m_prime)
+    max_p = batch_max_p(x1, x2, y, m_prime)
     datasets = [lo.RegressionData(*row) for row in zip(x1, x2, y)]
     want = [reference_decision(d, alpha, m_prime) for d in datasets]
     assert rejects.dtype == np.dtype(bool) and rejects.shape == (len(y),)
@@ -192,7 +201,7 @@ class TestDecideBatch:
         x1, x2, y = regression_stack(2, 40, 8, b1=-1.0, b2=1.0)
         x1[20:], x2[20:] = x2[20:].copy(), x1[20:].copy()  # b2 <= 0 in the second half
         _, max_p = assert_batch_matches_reference(x1, x2, y, 0.05, 5)
-        _, outside = lo._max_p_rows(x1, x2, y, 5)
+        _, outside = lo._statistic_rows(x1, x2, y, 5)
         fits = [lo.ols3_fit(lo.RegressionData(*row)).coefficients for row in zip(x1, x2, y)]
         for c, p, out in zip(fits, max_p, outside):
             assert (p == 1.0) == (c[1] <= 0.0 or c[2] <= 0.0) == (not out)
@@ -211,7 +220,7 @@ class TestDecideBatch:
         truths = ((2.0, 3.0), (0.5, 0.25), (2.0, -1.0), (-1.0, 0.5), (0.0, 1.0))
         y = np.array([1.0 + b1 * x1 + b2 * x2 for b1, b2 in truths])
         stack = (np.tile(x1, (len(truths), 1)), np.tile(x2, (len(truths), 1)), y)
-        _, _, rss_alt = lo._ols3_rows(*stack)
+        rss_alt = lo._ols3_rows(*stack)[2]
         assert rss_alt.tolist() == [0.0] * len(truths)
         for m_prime in (1, 5):
             rejects, max_p = assert_batch_matches_reference(*stack, 0.05, m_prime)
@@ -229,7 +238,7 @@ class TestDecideBatch:
         # conditioning bound, so that row's p equals the scalar bit for bit.
         x1, x2, y = regression_stack(6, 3, 12, b1=1.0, b2=1.0)
         x2[1] = x1[1] + 1e-5 * x2[1]
-        b1, b2, rss = lo._ols3_rows(x1, x2, y)
+        b1, b2, rss = lo._ols3_rows(x1, x2, y)[:3]
         fit = lo.ols3_fit(lo.RegressionData(x1[1], x2[1], y[1]))
         assert (b1[1], b2[1], rss[1]) == (fit.coefficients[1], fit.coefficients[2], fit.rss)
         _, max_p = assert_batch_matches_reference(x1, x2, y, 0.05, 5)
@@ -272,6 +281,23 @@ class TestDecideBatch:
             with pytest.raises(ValueError):
                 lo.decide_batch(*args)
         assert lo.decide_batch(x1[:0], x2[:0], y[:0], 0.05, 5).tolist() == []
+
+    def test_peak_holds_a_few_statistic_arrays(self):
+        # Each arm's RSS_null - RSS_alt is a quadratic form of a few sums,
+        # so a full-scale table1 block, which fits five of its (B, m) or
+        # (B, 3 n) arrays in _BLOCK_FLOATS, peaks below one block of
+        # _BLOCK_FLOATS floats.
+        for n, m in ((5, 10), (100, 10), (5, 100), (100, 100)):
+            cfg = simulation.ExperimentConfig("or_null", "power", (1.0, 0.5), n, 10, m, 0)
+            x1, x2, y = regression_stack(4, simulation._block_length(cfg), n, b2=0.5)
+            lo.decide_batch(x1, x2, y, 0.05, m // 2)
+            tracemalloc.start()
+            try:
+                lo.decide_batch(x1, x2, y, 0.05, m // 2)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < simulation._BLOCK_FLOATS * 8
 
     @settings(max_examples=60, deadline=None)
     @given(

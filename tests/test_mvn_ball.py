@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import references
 from pwreject.distributions import RngStream, chi2_cdf, chi2_quantile
 from pwreject.models import mvn_ball as mb
-from pwreject.testing import pointwise_test
+from pwreject.testing import p_value, pointwise_test
 
 
 def make_sample(seed=0, n=10, theta=(0, 0, 0, 0, 0)):
@@ -306,17 +306,22 @@ class TestDecideBatch:
                             mb.decide_batch(rows[None], alpha)
 
     def test_statistics_match_per_sample_bit_for_bit(self):
-        # A sample's p-values do not depend on the stack around it: each
+        # A sample's statistics do not depend on the stack around it: each
         # row equals the one-row call on that sample alone.  The pointwise
-        # p-value also equals mvn_simple_p_value at the projection of the
-        # sample mean.
+        # p-value at the statistic also equals mvn_simple_p_value at the
+        # projection of the sample mean, and each e-value test's p-value
+        # is exp(-log E) of its statistic.
         stack = ball_stack(5, 200, 7, (1.0, 0.3, 0, 0.1, 0))
-        p = mb._p_value_rows(stack, mb.BATCH_METHODS)
+        stat = mb._statistic_rows(stack, mb.BATCH_METHODS)
         for b, rows in enumerate(stack):
-            one_row = mb._p_value_rows(rows[None], mb.BATCH_METHODS)
-            assert [p[m][b] for m in mb.BATCH_METHODS] == [one_row[m][0] for m in mb.BATCH_METHODS]
+            one_row = mb._statistic_rows(rows[None], mb.BATCH_METHODS)
+            assert [stat[m][b] for m in mb.BATCH_METHODS] == [one_row[m][0] for m in mb.BATCH_METHODS]
             s = mb.MvnSample(rows)
-            assert p["pointwise"][b] == references.mvn_simple_p_value(s, references.project_to_null(s.mean))
+            assert p_value(stat["pointwise"][b], mb.BALL_SPEC, None) == (
+                references.mvn_simple_p_value(s, references.project_to_null(s.mean)))
+            for m in ("split_lrt", "crossfit_lrt"):
+                log_e = stat[m][b]
+                assert SCALAR_TESTS[m](s, 0.05).max_p == (math.exp(-log_e) if log_e > 0.0 else 1.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_draws_raise(self, bad):
@@ -360,7 +365,7 @@ class TestDecideBatch:
         def no_work(*args):
             raise AssertionError("p-values computed before the level check")
 
-        monkeypatch.setattr(mb, "_p_value_rows", no_work)
+        monkeypatch.setattr(mb, "_statistic_rows", no_work)
         with pytest.raises(ValueError) as err:
             mb.decide_batch(ball_stack(3, 4, 6, (1.0, 0, 0, 0, 0)), 0.7)
         assert str(err.value) == "significance level must lie in (0, 0.5), got 0.7"

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import references
 from pwreject.distributions import RngStream, chi2_quantile, f_quantile
+from pwreject import simulation
 from pwreject.models import nuisance as nu
 from pwreject.regions import Region1D
 from pwreject.testing import pointwise_test
@@ -272,14 +273,14 @@ def test_only_the_F_region_takes_a_window_width(name):
 def test_one_ols_fit_per_call(monkeypatch, name):
     # Each per-dataset function fits its data once: one call of the row
     # fit, on the dataset as a one-row stack.
-    fit = nu._proxy_rows
+    fit = nu._line_fit_rows
     calls = []
 
-    def counted(x, y, *args):
+    def counted(x, y):
         calls.append(x.shape)
-        return fit(x, y, *args)
+        return fit(x, y)
 
-    monkeypatch.setattr(nu, "_proxy_rows", counted)
+    monkeypatch.setattr(nu, "_line_fit_rows", counted)
     getattr(nu, name)(make_data(seed=4), *ONE_CALL_ARGS[name])
     assert calls == [(1, 30)]
 
@@ -519,30 +520,49 @@ class TestDecideBatch:
         assert outcomes == {True, False}
 
     def test_statistics_match_per_dataset_bit_for_bit(self):
-        # The row fit, grid and regressors against ols_line_fit,
-        # fit_psi_phi and proxy_phi_grid on each dataset.
+        # The row fit and grid against ols_line_fit, fit_psi_phi and
+        # proxy_phi_grid on each dataset, bit for bit.  The regions'
+        # endpoints equal those from the regressors np.outer(grid, x) +
+        # grid**2 of each dataset, bit for bit, and the tests' F statistic
+        # is the smallest references.f_stat over the grid up to rounding.
         x, y = xy_stack(5, 60, 17)
-        flag, rss_alt, g = nu._proxy_rows(x, y, 9, nu.REGION_WIDTH)
+        flag, b0, b1, _, _, rss_alt = nu._line_fit_rows(x, y)
         assert not flag.any()
+        _, regions = nu._statistic_rows(x, y, "coverage", None, 0.05, 9, nu.REGION_WIDTH)
+        _, tests = nu._statistic_rows(x, y, "test", 1.2, None, 9, nu.TEST_WIDTH)
         for row, (x_row, y_row) in enumerate(zip(x, y)):
             data = nu.XYData(x_row, y_row)
-            assert rss_alt[row] == references.ols_line_fit(data)[2]
-            grid = nu.proxy_phi_grid(references.fit_psi_phi(data)[1], 17, 9, nu.REGION_WIDTH)
-            assert np.array_equal(g[row], np.outer(grid, x_row) + (grid * grid)[:, None])
+            assert (b0[row], b1[row], rss_alt[row]) == references.ols_line_fit(data)
+            phi_hat = references.fit_psi_phi(data)[1]
+            assert b0[row] / b1[row] == phi_hat
+            grid = nu.proxy_phi_grid(phi_hat, 17, 9, nu.REGION_WIDTH)
+            g = np.outer(grid, x_row) + (grid * grid)[:, None]
+            for name in nu.BATCH_METHODS:
+                thr = rss_alt[row] * nu._region_rss_factor(name, 0.05, 17)
+                want = endpoints(y_row, g, thr)
+                got = [v[row] for v in regions[name]]
+                assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(got, want))
+            grid = nu.proxy_phi_grid(phi_hat, 17, 9, nu.TEST_WIDTH)
+            f_min = min(references.f_stat(data, 1.2, phi_t) for phi_t in grid)
+            assert tests["pointwise"][row] == pytest.approx(f_min, rel=1e-12)
+            assert tests["lrt"][row] == pytest.approx(f_min * 2.0 / 15, rel=1e-12)
 
-    def test_test_mode_keeps_one_regressor_tensor(self):
-        # A block of 75 datasets, m = 100, n = 10: the (B, m, n) regressors,
-        # the null residuals and their squares share one buffer, so the
-        # traced peak stays below two such tensors (it was over three).
-        x, y = xy_stack(4, 75, 10)
-        nu.decide_batch(x, y, "test", 0.05, 100, 1.0)
-        tracemalloc.start()
-        try:
+    def test_test_mode_peak_holds_a_few_statistic_arrays(self):
+        # The tests read RSS_null - RSS_alt from the fit on (B, m) arrays,
+        # five of which a full-scale fig4 block fits in _BLOCK_FLOATS, so
+        # the block peaks below two blocks of _BLOCK_FLOATS floats.  That
+        # was the bound of the two (B, m, n) regressor tensors.
+        for n in (5, 10):
+            cfg = simulation.ExperimentConfig("nuisance", "power", (1.0, 2.0), n, 10, 100, 0)
+            x, y = xy_stack(4, simulation._block_length(cfg), n)
             nu.decide_batch(x, y, "test", 0.05, 100, 1.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * x.size * 100 * 8
+            tracemalloc.start()
+            try:
+                nu.decide_batch(x, y, "test", 0.05, 100, 1.0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * simulation._BLOCK_FLOATS * 8
 
     def test_membership_at_interval_endpoints(self):
         # psi exactly at an endpoint of the region is inside (closed

@@ -8,7 +8,7 @@ import pytest
 
 from pwreject import simulation
 from pwreject.distributions import RngStream
-from pwreject.models import linear_or, mvn_ball, nuisance
+from pwreject.models import MODELS, linear_or, mvn_ball, nuisance
 from pwreject.simulation import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -231,11 +231,7 @@ class TestBlocks:
     ], ids=["ball", "ball-n2", "interval", "or_null", "or_null-m100", "nuisance",
             "nuisance-power"])
     def test_block_length_changes_no_result(self, cfg, monkeypatch):
-        # Floats of the largest per-replicate array: the (m, n) proxy
-        # regressors for nuisance, the (m / 2, n) boundary-arm residuals
-        # for or_null, the (n, 5) draws otherwise.
-        per_replicate = {"nuisance": cfg.m * cfg.n, "or_null": cfg.m // 2 * cfg.n}.get(
-            cfg.model, cfg.n * 5)
+        per_replicate = block_floats(cfg)
         sizes = self.spy_block_sizes(monkeypatch)
         default = run_experiment(cfg)
         assert sizes == [cfg.replicates]
@@ -249,15 +245,17 @@ class TestBlocks:
             assert res.rates == default.rates
             assert res.flagged_replicates == default.flagged_replicates
 
-    def test_nuisance_block_bounds_the_regressor_tensor(self, monkeypatch):
-        # Every fig3 and fig4 setting at full scale: the (B, m, n) proxy
-        # regressors of a block fit _BLOCK_FLOATS, and one more replicate
-        # would not.
+    def test_nuisance_block_bounds_its_arrays(self, monkeypatch):
+        # Every fig3 and fig4 setting at full scale: the block's arrays fit
+        # _BLOCK_FLOATS, and one more replicate would not.  They are the
+        # (B, m, n) proxy regressors of the regions (fig3) and five (B, m)
+        # statistics arrays of the tests (fig4, m = 100 > 2 n).
         kwargs = simulation._suite_configs("fig3", 1.0) + simulation._suite_configs("fig4", 1.0)
         for cfg in (ExperimentConfig(master_seed=0, **kw) for kw in kwargs):
             block = simulation._block_length(cfg)
-            assert block * cfg.m * cfg.n <= simulation._BLOCK_FLOATS
-            assert (block + 1) * cfg.m * cfg.n > simulation._BLOCK_FLOATS
+            floats = cfg.m * cfg.n if cfg.mode == "coverage" else 5 * cfg.m
+            assert block * floats <= simulation._BLOCK_FLOATS
+            assert (block + 1) * floats > simulation._BLOCK_FLOATS
         # The harness hands the batch arrays of that many rows.
         shapes = []
         batch = nuisance.decide_batch
@@ -267,7 +265,7 @@ class TestBlocks:
             return batch(x, y, *args)
 
         monkeypatch.setattr(nuisance, "decide_batch", recorded)
-        monkeypatch.setattr(simulation, "_BLOCK_FLOATS", 2000)
+        monkeypatch.setattr(simulation, "_BLOCK_FLOATS", 1000)
         run_experiment(config(mode="power", **dict(self.NUISANCE, n=10, m=100, replicates=5)))
         assert shapes == [(2, 10), (2, 10), (1, 10)]
 
@@ -283,16 +281,18 @@ class TestBlocks:
         assert 0 < rejects < cfg.replicates
         assert run_experiment(cfg).rates == {"pointwise": rejects / cfg.replicates}
 
-    def test_or_null_block_bounds_the_boundary_tensor(self, monkeypatch):
-        # Every table1 setting at full scale: each (B, m / 2, n) boundary-arm
-        # residual tensor of a block fits _BLOCK_FLOATS, and one more
-        # replicate would not (a block at n = 100, m = 100 sized by the
-        # (B, n, 5) draws held 1048 x 50 x 100 floats, 42 MB).
+    def test_or_null_block_bounds_its_arrays(self, monkeypatch):
+        # Every table1 setting at full scale: the block's arrays fit
+        # _BLOCK_FLOATS, and one more replicate would not.  They are five
+        # arrays of the (B, m) statistics over the 2 m' = m boundary points
+        # or of the (B, 3 n) draws, whichever is larger (a block at n = 100,
+        # m = 100 sized by the (B, n, 5) draws once held a 1048 x 50 x 100
+        # residual tensor, 42 MB).
         for kw in simulation._suite_configs("table1", 1.0):
             cfg = ExperimentConfig(master_seed=0, **kw)
             block = simulation._block_length(cfg)
-            arm = cfg.m // 2 * cfg.n
-            assert block * arm <= simulation._BLOCK_FLOATS < (block + 1) * arm
+            floats = 5 * max(cfg.m, 3 * cfg.n)
+            assert block * floats <= simulation._BLOCK_FLOATS < (block + 1) * floats
         # The harness hands the batch arrays of that many rows.
         shapes = []
         batch = linear_or.decide_batch
@@ -331,6 +331,19 @@ class TestBlocks:
             run_experiment(config(mode="coverage", **self.NUISANCE))
 
 
+def block_floats(cfg):
+    """Floats per replicate that _block_length fits in _BLOCK_FLOATS: the
+    (m, n) proxy regressors of the nuisance regions; five arrays of the
+    larger of the draws of the data columns and the m test-point
+    statistics for the nuisance tests and or_null; the (n, 5) draws
+    otherwise."""
+    if cfg.mode == "coverage":
+        return cfg.m * cfg.n
+    if cfg.model in ("nuisance", "or_null"):
+        return 5 * max(len(MODELS[cfg.model].columns) * cfg.n, cfg.m)
+    return cfg.n * mvn_ball.DIM
+
+
 def rows_setting_by_setting(suite, master_seed, scale):
     """run_suite's rows, built from run_experiment on each setting alone."""
     return [row for cfg in simulation._suite_settings(suite, master_seed, scale)
@@ -356,7 +369,7 @@ class TestGroups:
         configs = group(suite, 0.0005, n)  # 5 replicates per setting
         alone = [run_experiment(cfg) for cfg in configs]
         sizes = TestBlocks.spy_block_sizes(monkeypatch)
-        per_row = {"nuisance": configs[0].m * n}.get(configs[0].model, n * mvn_ball.DIM)
+        per_row = block_floats(configs[0])
         total = sum(cfg.replicates for cfg in configs)
         # One block, then blocks of one row and of three: a 3-row block
         # spans two settings.
