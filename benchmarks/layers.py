@@ -74,17 +74,17 @@ SCALES = {"perfbench": PERFBENCH_SCALES, "full": dict.fromkeys(PERFBENCH_SCALES,
 CHECKED_ROWS = 16
 # Where the models call the CDFs and the quantiles (the chi-square and F
 # CDFs through testing's survival function, which ball, or_null and
-# nuisance share), and where the CDFs call the kernels; distributions holds
-# each of these functions under its name.
+# nuisance share, and the chi-square CDF of the nuisance LRT's p-value),
+# and where the CDFs call the kernels; distributions holds each of these
+# functions under its name.
 CALL_SITES = (
     (distributions, "reg_lower_gamma"), (distributions, "reg_inc_beta"),
-    (testing, "chi2_cdf"), (testing, "f_cdf"), (normal_mean, "t_cdf"),
+    (testing, "chi2_cdf"), (nuisance, "chi2_cdf"), (testing, "f_cdf"), (normal_mean, "t_cdf"),
     (nuisance, "chi2_quantile"), (nuisance, "f_quantile"),
 )
 QUANTILES = ("chi2_quantile", "f_quantile")
 CACHES = (
     alpha_prime_no_boundary, alpha_prime_with_boundary, testing.critical_value,
-    mvn_ball._log_e_critical, nuisance._lrt_ratio_critical,
     distributions.chi2_quantile, distributions.f_quantile, distributions.t_quantile,
     distributions._seed_block, cli.build_parser,
 )
@@ -165,6 +165,11 @@ def decisions_agree(configs, columns):
                           per_dataset(configs[0], columns, rows))
 
 
+def sf_cut(spec, df_den):
+    """The critical value of a pointwise test whose max p is ``testing.p_value``."""
+    return testing.critical_value(testing.p_value, alpha_prime(ALPHA, spec), spec, df_den)
+
+
 def closest_call(config, columns):
     """{method: the smallest relative distance of a row of the block from its cut}."""
     model, n = config.model, config.n
@@ -176,11 +181,12 @@ def closest_call(config, columns):
                 normal_mean.interval_null_test, normal_mean.bonferroni_interval_test))}
     if model == "ball":
         stat = mvn_ball._statistic_rows(columns[0], mvn_ball.BATCH_METHODS)
-        cut = dict.fromkeys(mvn_ball.BATCH_METHODS, mvn_ball._log_e_critical(ALPHA))
-        cut["pointwise"] = testing.critical_value(ALPHA, mvn_ball.BALL_SPEC, None)
+        cut = dict.fromkeys(mvn_ball.BATCH_METHODS,
+                            testing.critical_value(mvn_ball._e_p_value, ALPHA))
+        cut["pointwise"] = sf_cut(mvn_ball.BALL_SPEC, None)
     elif model == "or_null":
         stat = {"pointwise": linear_or._statistic_rows(*columns, config.m // 2)[0]}
-        cut = {"pointwise": testing.critical_value(ALPHA, linear_or.NULL_SPEC, n - 3)}
+        cut = {"pointwise": sf_cut(linear_or.NULL_SPEC, n - 3)}
     else:
         mode, psi = simulation._nuisance_target(config)
         width = nuisance.REGION_WIDTH if mode == "coverage" else nuisance.TEST_WIDTH
@@ -190,8 +196,8 @@ def closest_call(config, columns):
                 curved, np.minimum(abs(psi - lo), abs(psi - hi)), np.inf)[flag == 0])) / abs(psi)
                 for name, (_, lo, hi, curved) in stat.items()}
         stat = {name: values[flag == 0] for name, values in stat.items()}
-        cut = {"pointwise": testing.critical_value(ALPHA, nuisance.NULL_SPEC, n - 2),
-               "lrt": nuisance._lrt_ratio_critical(ALPHA, n)}
+        cut = {"pointwise": sf_cut(nuisance.NULL_SPEC, n - 2),
+               "lrt": testing.critical_value(nuisance._lrt_p_value, ALPHA, n)}
     return {name: float(np.min(np.abs(stat[name] - cut[name]))) / cut[name] for name in stat}
 
 

@@ -1,12 +1,14 @@
 """Paired A/B runs of a base revision against this checkout, written as one BENCH JSON.
 
 Ten pairs each run both sides once, one after the other, and alternate
-which side goes first: pair k runs the base first when k is even.  A side
-is run from its own tree, the base from a ``git archive`` of ``REV``
-unpacked under ``TMPDIR`` (removed afterwards), the change from this
-checkout, so each side imports ``pwreject`` from its own ``src`` and runs
-its own ``perfbench`` code.  In pair k, with seed ``--seed`` + k on both
-sides:
+which side goes first: pair k runs the base first when k is even.  Each
+side is run from its own tree under one directory in ``TMPDIR`` (removed
+afterwards): the base from a ``git archive`` of ``REV``, the change from a
+copy of this checkout's tracked files and of its untracked files that git
+does not ignore.  So each side imports ``pwreject`` from its own ``src``
+and runs its own ``perfbench`` code, and the two trees differ only in
+what they hold, not in where they lie.  In pair k, with seed ``--seed`` +
+k on both sides:
 
 - each perfbench workload of ``BENCHMARK.json``, through
   ``perfbench/run.py --workload W --seed S --seconds T --trace 0`` with T
@@ -21,7 +23,7 @@ For every metric the JSON holds each side's runs, median and quartiles
 the relative change of the median in the worse direction
 (``change_worse_by``, negative when the change is better) and, for the
 perfbench metrics, the bound of ``BENCHMARK.json``.  A run of ``HEAD``
-against a clean checkout of ``HEAD`` measures the noise floor.
+against a checkout that holds ``HEAD`` unchanged measures the noise floor.
 
     python3 benchmarks/paired.py HEAD~1 --out BENCH_21.json
 """
@@ -31,6 +33,7 @@ import io
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -89,6 +92,17 @@ def git(*args):
                           stdout=subprocess.PIPE).stdout
 
 
+def copy_checkout(tree):
+    """Copy this checkout's tracked files, and its untracked files that git
+    does not ignore, into ``tree``."""
+    for name in git("ls-files", "-z", "--cached", "--others", "--exclude-standard").split(b"\0"):
+        source = os.path.join(ROOT, os.fsdecode(name))
+        if name and os.path.isfile(source):  # a tracked file deleted here is left out
+            target = os.path.join(tree, os.fsdecode(name))
+            os.makedirs(os.path.dirname(target), exist_ok=True)
+            shutil.copy2(source, target)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev", help="base revision, e.g. HEAD~1 or a commit hash")
@@ -103,10 +117,11 @@ def main(argv=None):
     runs = {side: {"perfbench": {w: [] for w in workloads}, "suites": []}
             for side in ("base", "change")}
     base_commit = git("rev-parse", "--verify", args.rev + "^{commit}").decode().strip()
-    with tempfile.TemporaryDirectory(prefix="paired_") as tree:
+    with tempfile.TemporaryDirectory(prefix="paired_") as directory:
+        trees = {side: os.path.join(directory, side) for side in ("base", "change")}
         with tarfile.open(fileobj=io.BytesIO(git("archive", base_commit))) as archive:
-            archive.extractall(tree, filter="data")
-        trees = {"base": tree, "change": ROOT}
+            archive.extractall(trees["base"], filter="data")
+        copy_checkout(trees["change"])
         for k in range(PAIRS):
             seed = args.seed + k
             order = ("base", "change") if k % 2 == 0 else ("change", "base")
@@ -135,8 +150,9 @@ def main(argv=None):
               for suite in SUITES}
     record = {
         "method": "benchmarks/paired.py: %d pairs, seeds %d-%d, perfbench --seconds %g --trace 0 "
-                  "and each full-scale run_suite in its own child per side; the first side "
-                  "alternates by pair" % (PAIRS, args.seed, args.seed + PAIRS - 1, seconds),
+                  "and each full-scale run_suite in its own child per side, both sides run from "
+                  "copies under TMPDIR; the first side alternates by pair"
+                  % (PAIRS, args.seed, args.seed + PAIRS - 1, seconds),
         "base": {"rev": args.rev, "commit": base_commit},
         "change": {"commit": change_commit, "uncommitted_changes": dirty},
         "machine": {"python": platform.python_version(), "numpy": np.__version__,

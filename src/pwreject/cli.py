@@ -19,7 +19,7 @@ import numpy as np
 
 from pwreject.alpha_prime import NullSpec, alpha_prime
 from pwreject.models import MODELS, linear_or, mvn_ball, normal_mean, nuisance
-from pwreject.simulation import CSV_COLUMNS, SUITE_IDS, _suite_configs, run_suite
+from pwreject.simulation import CSV_COLUMNS, SUITE_IDS, _suite_settings, run_suite
 
 
 class CliError(Exception):
@@ -118,10 +118,10 @@ def _cmd_confreg(args):
 
 
 def _cmd_simulate(args):
-    # Check the suite arguments before opening --out, so a usage error leaves
-    # an existing file as it was; open --out before the run, so a bad path
-    # fails before the suite runs.
-    _suite_configs(args.suite, args.scale)
+    # Check the suite arguments, the seed included, before opening --out, so
+    # a usage error leaves an existing file as it was; open --out before the
+    # run, so a bad path fails before the suite runs.
+    _suite_settings(args.suite, args.seed, args.scale)
     with _opened_out(args.out) as out:
         rows = run_suite(args.suite, args.seed, args.scale)
         if args.format == "json":

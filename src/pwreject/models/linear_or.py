@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pwreject.alpha_prime import NullSpec
+from pwreject.alpha_prime import NullSpec, alpha_prime
 from pwreject.testing import _excess_ratio, decide, p_value, rejections
 
 __all__ = [
@@ -106,7 +106,8 @@ def decide_batch(x1, x2, y, alpha, m_prime):
     ``x1``, ``x2`` and ``y`` are (B, n) arrays; row b holds dataset b.
     """
     f_stat, _ = _statistic_rows(x1, x2, y, m_prime)
-    return rejections(f_stat, NULL_SPEC, alpha, np.shape(y)[-1] - 3)
+    ap = alpha_prime(alpha, NULL_SPEC)
+    return rejections(f_stat, p_value, ap, NULL_SPEC, np.shape(y)[-1] - 3)
 
 
 def _statistic_rows(x1, x2, y, m_prime):

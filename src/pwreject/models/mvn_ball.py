@@ -13,8 +13,11 @@ Universal-inference baselines (split LRT, cross-fit LRT) live here too.
 Each test's statistic (chi-square, or log E of an e-value E) is written
 once, as an array function over a (B, n, 5) stack of samples.
 :func:`decide_batch` compares them with cached critical values on a whole
-stack; it is what the Monte Carlo harness calls.  The per-sample tests are
-one-row calls of it on ``sample.rows[None]``.  The tests check them
+stack; it is what the Monte Carlo harness calls.  Every test rejects iff
+its max p is at most its level: the chi-square p-value against alpha', and
+the e-value's p-value min(1, 1/E) (``_e_p_value``) against alpha, so
+E = 1/alpha rejects, which Markov's inequality allows.  The per-sample
+tests are one-row calls of it on ``sample.rows[None]``.  The tests check them
 against :func:`pwreject.testing.pointwise_test` with the simple-null
 chi-square p-value at a projection of their own; the boundaryless subspace
 null, on which the pointwise test equals the traditional LRT, is a fixture
@@ -27,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pwreject.alpha_prime import NullSpec, _check_level
-from pwreject.testing import TestDecision, _least_double, decide, p_value, rejections
+from pwreject.alpha_prime import NullSpec, _check_level, alpha_prime
+from pwreject.testing import TestDecision, decide, p_value, rejections
 
 __all__ = [
     "MvnSample",
@@ -85,27 +88,23 @@ def ball_pointwise_test(sample, alpha):
 
 
 def split_lrt_test(sample, alpha):
-    """Universal split LRT at the single projection test point: U1 > 1/alpha."""
+    """Universal split LRT at the single projection test point: U1 >= 1/alpha."""
     return _e_value_test(sample, "split_lrt", alpha)
 
 
 def cross_fit_lrt_test(sample, alpha):
-    """Universal cross-fit LRT: (U1 + U2) / 2 compared with 1/alpha."""
+    """Universal cross-fit LRT: (U1 + U2) / 2 >= 1/alpha."""
     return _e_value_test(sample, "crossfit_lrt", alpha)
 
 
 def _e_value_test(sample, method, alpha):
-    # U > 1/alpha expressed through the e-value's implied p-value 1/U.
-    cut = _log_e_critical(alpha)
-    log_e = _one_row(sample, method)
-    return TestDecision(log_e >= cut, math.exp(-log_e) if log_e > 0.0 else 1.0, alpha, 1)
-
-
-@functools.lru_cache(maxsize=128)
-def _log_e_critical(alpha):
-    """The least log E at which the p-value 1/E = exp(-log E) of an e-value falls below alpha."""
     _check_level(alpha)
-    return _least_double(lambda log_e: log_e > 0.0 and math.exp(-log_e) < alpha)
+    return TestDecision(_e_p_value(_one_row(sample, method)), alpha, 1)
+
+
+def _e_p_value(log_e):
+    """The p-value min(1, 1/E) = exp(-log E) of an e-value E, from log E."""
+    return math.exp(-log_e) if log_e > 0.0 else 1.0
 
 
 def _one_row(sample, method):
@@ -131,8 +130,9 @@ def decide_batch(stack, alpha):
     if not np.isfinite(stack).all():
         raise ValueError("observations must be finite (no nan or inf)")
     stat = _statistic_rows(stack, BATCH_METHODS)
-    return [rejections(stat["pointwise"], BALL_SPEC, alpha, None)] + [
-        stat[m] >= _log_e_critical(alpha) for m in BATCH_METHODS[1:]]
+    ap = alpha_prime(alpha, BALL_SPEC)
+    return [rejections(stat["pointwise"], p_value, ap, BALL_SPEC, None)] + [
+        rejections(stat[m], _e_p_value, alpha) for m in BATCH_METHODS[1:]]
 
 
 def _statistic_rows(stack, methods):

@@ -118,6 +118,4 @@ def bonferroni_interval_test(sample, a, b, alpha):
     nu = sample.n - 1
     p_low = t_cdf((xbar - a) / se, nu)  # one-sided H0: mu >= a
     p_high = 1.0 - t_cdf((xbar - b) / se, nu)  # one-sided H0: mu <= b
-    p = min(p_low, p_high)
-    cut = alpha / 2.0
-    return TestDecision(p <= cut, p, cut, 0)
+    return TestDecision(min(p_low, p_high), alpha / 2.0, 0)

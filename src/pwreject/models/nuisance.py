@@ -19,11 +19,14 @@ against :func:`pwreject.testing.pointwise_test` over the proxy grid with a
 per-point F-test p-value and a line fit of their own
 (``tests/references.py``).
 
+Both tests reject iff their max p is at most their level, ties included:
+the F p-value at the smallest F against alpha', and the LRT's chi2_1
+p-value of n * log(RSS_null / RSS_alt) (``_lrt_p_value``) against alpha.
 Every test and region takes alpha in (0, 1), where both the pointwise
-alpha' (the null has no boundary) and the LRT's chi-square cutoff exist.
+alpha' (the null has no boundary) and the LRT region's chi-square cutoff
+exist.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -32,8 +35,7 @@ import numpy as np
 from pwreject.alpha_prime import NullSpec, _check_level, alpha_prime
 from pwreject.distributions import chi2_cdf, chi2_quantile, f_quantile
 from pwreject.regions import Region1D
-from pwreject.testing import (
-    TestDecision, _excess_ratio, _least_double, decide, p_value, rejections)
+from pwreject.testing import TestDecision, _excess_ratio, decide, p_value, rejections
 
 __all__ = [
     "XYData",
@@ -150,13 +152,12 @@ def psi_pointwise_test(data, psi0, alpha, m):
 
 
 def psi_lrt_test(data, psi0, alpha, m):
-    """LRT baseline: reject when n*log(RSS_null / RSS_alt) clears the
-    chi2_{1-alpha, 1} cutoff at every proxy point."""
+    """LRT baseline: reject when the chi2_1 p-value of n*log(RSS_null / RSS_alt)
+    is at most alpha at every proxy point."""
     _check_psi(psi0)
-    ratio_cut = _lrt_ratio_critical(alpha, data.n)
+    _check_level(alpha)
     (ratio,) = _one_row(data, "test", psi0, alpha, m, TEST_WIDTH)["lrt"]
-    max_p = 1.0 - chi2_cdf(data.n * math.log1p(ratio), 1)
-    return TestDecision(ratio >= ratio_cut, max_p, alpha, m)
+    return TestDecision(_lrt_p_value(ratio, data.n), alpha, m)
 
 
 def _check_psi(psi):
@@ -173,12 +174,9 @@ def _one_row(data, *args):
     return out
 
 
-@functools.lru_cache(maxsize=256)
-def _lrt_ratio_critical(alpha, n):
-    """The least (RSS_null - RSS_alt) / RSS_alt with n * log1p(it) >= chi2_{1-alpha, 1}."""
-    _check_level(alpha)
-    cutoff = chi2_quantile(1.0 - alpha, 1)
-    return _least_double(lambda ratio: n * math.log1p(ratio) >= cutoff)
+def _lrt_p_value(ratio, n):
+    """The chi2_1 p-value of n * log(RSS_null / RSS_alt), from (RSS_null - RSS_alt) / RSS_alt."""
+    return 1.0 - chi2_cdf(n * math.log1p(ratio), 1)
 
 
 def _region_rss_factor(method, alpha, n):
@@ -228,8 +226,9 @@ def decide_batch(x, y, mode, alpha, m, psi):
         hits = [whole_line | (curved & (lo <= psi) & (psi <= hi)).any(axis=1)
                 for whole_line, lo, hi, curved in (rows[name] for name in BATCH_METHODS)]
     else:
-        hits = [rejections(rows["pointwise"], NULL_SPEC, alpha, x.shape[1] - 2),
-                rows["lrt"] >= _lrt_ratio_critical(alpha, x.shape[1])]
+        n, ap = x.shape[1], alpha_prime(alpha, NULL_SPEC)
+        hits = [rejections(rows["pointwise"], p_value, ap, NULL_SPEC, n - 2),
+                rejections(rows["lrt"], _lrt_p_value, alpha, n)]
     kept = flag == 0
     return [row_hits & kept for row_hits in hits], ~kept
 

@@ -1,26 +1,28 @@
 """Generic pointwise-rejection test engine.
 
 A simple-null tester is any callable ``tester(point) -> p-value`` for
-H0: theta = point on a fixed observed dataset.  The composite decision
-compares the maximum p-value across test points with the modified level
-alpha' (:func:`decide`).  Ties at the threshold reject.  A stack of
-statistics whose max p is the survival function :func:`p_value` is
+H0: theta = point on a fixed observed dataset.  Every test here, the
+baselines included, rejects iff its max p is at most its level: a
+:class:`TestDecision` works ``reject`` out from its own max p, and ties
+reject.  :func:`decide` takes the level alpha' of the null geometry.  A
+stack of statistics whose max p is a p-function of one statistic is
 decided as "statistic >= c" (:func:`rejections`, :func:`critical_value`).
 """
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from pwreject.alpha_prime import _check_level, alpha_prime
-from pwreject.distributions import chi2_cdf, chi2_quantile, f_cdf
+from pwreject.distributions import chi2_cdf, f_cdf
 
 __all__ = ["TestDecision", "decide", "rejections", "critical_value", "p_value", "pointwise_test",
            "lrt_decision_subspace"]
 
-# Within this relative distance of c, p_value may round out of order (a few
-# ULPs of c for F(2, 17) and F(2, 97)), so the p-value decides there.
+# Within this relative distance of c, a p-function may round out of order
+# (at most 10 ULPs from c in the scans of docs/decisions.md), so the
+# p-value decides there.
 _NEAR = 1e-8
 
 
@@ -28,28 +30,28 @@ _NEAR = 1e-8
 class TestDecision:
     """Outcome of a composite test: reject iff max_p <= alpha_prime_used.
 
-    n_points == 0 marks a closed-form decision over a continuum of test
-    points rather than a finite list.  Fields are stored as Python
-    ``bool``, ``float`` and ``int`` whatever numpy scalars the caller
-    passes, so a decision serializes as JSON.
+    ``reject`` is not passed but set from the other fields, so a decision
+    never contradicts its own max p.  n_points == 0 marks a closed-form
+    decision over a continuum of test points rather than a finite list.
+    Fields are stored as Python ``bool``, ``float`` and ``int`` whatever
+    numpy scalars the caller passes, so a decision serializes as JSON.
     """
 
-    reject: bool
     max_p: float
     alpha_prime_used: float
     n_points: int
+    reject: bool = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "reject", bool(self.reject))
         object.__setattr__(self, "max_p", float(self.max_p))
         object.__setattr__(self, "alpha_prime_used", float(self.alpha_prime_used))
         object.__setattr__(self, "n_points", int(self.n_points))
+        object.__setattr__(self, "reject", self.max_p <= self.alpha_prime_used)
 
 
 def decide(max_p, spec, alpha, n_points):
     """Reject iff max_p <= alpha' for the null geometry ``spec``."""
-    ap = alpha_prime(alpha, spec)
-    return TestDecision(max_p <= ap, max_p, ap, n_points)
+    return TestDecision(max_p, alpha_prime(alpha, spec), n_points)
 
 
 def p_value(stat, spec, df_den):
@@ -60,10 +62,9 @@ def p_value(stat, spec, df_den):
 
 
 @functools.lru_cache(maxsize=256)
-def critical_value(alpha, spec, df_den):
-    """The statistic c with ``p_value(c) <= alpha'`` where the double below c fails it."""
-    ap = alpha_prime(alpha, spec)
-    return _least_double(lambda s: p_value(s, spec, df_den) <= ap)
+def critical_value(p, level, *args):
+    """The least double c with ``p(c, *args) <= level``; the double below c fails it."""
+    return _least_double(lambda s: p(s, *args) <= level)
 
 
 def _least_double(holds):
@@ -77,16 +78,17 @@ def _least_double(holds):
     return float(np.int64(hi).view(np.float64))
 
 
-def rejections(stat, spec, alpha, df_den):
-    """:func:`decide`'s rule at the max p ``p_value(stat)`` over an array of statistics.
+def rejections(stat, p, level, *args):
+    """The rule ``p(stat, *args) <= level`` over an array of statistics.
 
-    A bool array: ``stat >= critical_value(...)``, with no CDF call except
-    for a statistic within ``_NEAR`` of c, which its p-value decides.
+    A bool array: ``stat >= critical_value(p, level, *args)``, with no call
+    of ``p`` except for a statistic within ``_NEAR`` of c, which its own
+    p-value decides.
     """
-    c = critical_value(alpha, spec, df_den)
+    c = critical_value(p, level, *args)
     reject = stat >= c
-    for i in np.flatnonzero(np.abs(stat - c) <= _NEAR * c):
-        reject[i] = p_value(stat[i], spec, df_den) <= alpha_prime(alpha, spec)
+    for i in (np.abs(stat - c) <= _NEAR * c).nonzero()[0]:
+        reject[i] = p(stat[i], *args) <= level
     return reject
 
 
@@ -103,20 +105,15 @@ def pointwise_test(tester, points, spec, alpha):
 def lrt_decision_subspace(neg2_log_lambda, spec, alpha):
     """Traditional likelihood ratio test for a boundaryless null region.
 
-    The caller supplies -2 log Lambda(Theta0, Theta1; x); rejection occurs
-    at or above the chi2_{1-alpha, d1-d0} critical value, which needs
-    alpha in (0, 1).
+    The caller supplies -2 log Lambda(Theta0, Theta1; x); the test rejects
+    iff its chi2_{d1-d0} p-value is at most alpha, in (0, 1).
     """
     _check_level(alpha)
     if spec.has_boundary:
         raise ValueError("the traditional LRT applies only to boundaryless nulls")
     if not neg2_log_lambda >= 0.0:
         raise ValueError("-2 log Lambda must be nonnegative")
-    dg = spec.d1 - spec.d0
-    p = 1.0 - chi2_cdf(neg2_log_lambda, dg)
-    # reject iff the statistic reaches the critical value, i.e. p <= alpha
-    reject = neg2_log_lambda >= chi2_quantile(1.0 - alpha, dg)
-    return TestDecision(reject, p, alpha, 0)
+    return TestDecision(1.0 - chi2_cdf(neg2_log_lambda, spec.d1 - spec.d0), alpha, 0)
 
 
 def _excess_ratio(excess, rss_alt):

@@ -219,3 +219,89 @@ def ball_pointwise_rate(mu, n, alpha, dps=30):
         peak = {max(lam + k, 0) for k in (-10, -3, 0, 3, 10)}
         points = sorted({mpmath.mpf(0)} | kinks | peak) + [mpmath.inf]
         return float(mpmath.quad(integrand, points))
+
+
+def interval_pointwise_rate(mu, n, alpha, dps=20):
+    """Exact rejection rate of the interval pointwise test of H0: mu in [0, 1], sigma = 1.
+
+    With alpha' = 2 alpha, the test rejects iff the sample mean lies below
+    a - t s / sqrt(n) or above b + t s / sqrt(n), with [a, b] = [0, 1] and
+    t the t_{n-1} quantile at 1 - alpha.  The mean is N(mu, 1 / n) and
+    independent of s, with (n - 1) s**2 ~ chi2_{n-1}, so
+
+        P = E over s of Phi(sqrt(n) (a - mu) - t s) + 1 - Phi(sqrt(n) (b - mu) + t s).
+
+    Everything, t included, is computed here in mpmath.
+    """
+    with mpmath.workdps(dps):
+        nu = mpmath.mpf(n - 1)
+        alpha = mpmath.mpf(alpha)
+
+        def t_upper(t):  # P(T > t) for t >= 0
+            return mpmath.betainc(nu / 2, mpmath.mpf(1) / 2, 0, nu / (nu + t * t),
+                                  regularized=True) / 2
+
+        lo, hi = mpmath.mpf(0), mpmath.mpf(1000)
+        for _ in range(4 * dps):  # bisection: the upper tail falls as t rises
+            mid = (lo + hi) / 2
+            if t_upper(mid) > alpha:
+                lo = mid
+            else:
+                hi = mid
+        t = (lo + hi) / 2
+        root_n = mpmath.sqrt(n)
+        a, b, mu = mpmath.mpf(0), mpmath.mpf(1), mpmath.mpf(mu)
+        log_norm = (nu / 2) * mpmath.log(2) + mpmath.loggamma(nu / 2)
+
+        def integrand(u):  # u = (n - 1) s**2 ~ chi2_{n-1}
+            if u == 0:
+                return mpmath.mpf(0)
+            s = mpmath.sqrt(u / nu)
+            density = mpmath.exp((nu / 2 - 1) * mpmath.log(u) - u / 2 - log_norm)
+            return density * (mpmath.ncdf(root_n * (a - mu) - t * s)
+                              + 1 - mpmath.ncdf(root_n * (b - mu) + t * s))
+
+        sd = mpmath.sqrt(2 * nu)
+        points = sorted({mpmath.mpf(0)} | {max(nu + k * sd, 0) for k in (-10, -3, 0, 3, 10)})
+        return float(mpmath.quad(integrand, points + [mpmath.inf]))
+
+
+def nuisance_window_min_excess(x, y, psi0, half_width, dps=40):
+    """Exact minimum of RSS_null - RSS_alt over the nuisance window, and RSS_alt.
+
+    For H0: psi = psi0 on the data (x, y), with its own OLS line (b0, b1)
+    in mpmath: with d = psi0 * phi - b1, RSS_null(psi0, phi) - RSS_alt =
+    Sxx * d**2 + n * (d * xbar + psi0 * phi**2 - b0)**2, a quartic in phi.
+    Its minimum over the window phi_hat +- half_width, phi_hat = b0 / b1,
+    lies at a real root of its derivative, a cubic, or at an end.  Returns
+    ``(minimum, rss_alt)`` as floats.
+    """
+    with mpmath.workdps(dps):
+        x = [mpmath.mpf(float(v)) for v in x]
+        y = [mpmath.mpf(float(v)) for v in y]
+        n = len(x)
+        xbar, ybar = mpmath.fsum(x) / n, mpmath.fsum(y) / n
+        sxx = mpmath.fsum((xi - xbar) ** 2 for xi in x)
+        b1 = mpmath.fsum((xi - xbar) * (yi - ybar) for xi, yi in zip(x, y)) / sxx
+        b0 = ybar - b1 * xbar
+        rss_alt = mpmath.fsum((yi - b0 - b1 * xi) ** 2 for xi, yi in zip(x, y))
+        psi = mpmath.mpf(psi0)
+
+        def excess(phi):
+            d = psi * phi - b1
+            return sxx * d * d + n * (d * xbar + psi * phi * phi - b0) ** 2
+
+        # The quartic's coefficients, from d = u1 phi + u0 and the second
+        # term's v2 phi**2 + v1 phi + v0.
+        u1, u0 = psi, -b1
+        v2, v1, v0 = psi, psi * xbar, -b1 * xbar - b0
+        f4, f3 = n * v2 * v2, 2 * n * v2 * v1
+        f2 = sxx * u1 * u1 + n * (v1 * v1 + 2 * v2 * v0)
+        f1 = 2 * sxx * u1 * u0 + 2 * n * v1 * v0
+        roots = mpmath.polyroots([4 * f4, 3 * f3, 2 * f2, f1], maxsteps=200, extraprec=2 * dps)
+        phi_hat = b0 / b1
+        lo, hi = phi_hat - half_width, phi_hat + half_width
+        candidates = [lo, hi] + [mpmath.re(r) for r in roots
+                                 if abs(mpmath.im(r)) <= mpmath.mpf(10) ** (-dps // 2)
+                                 * (1 + abs(r)) and lo < mpmath.re(r) < hi]
+        return float(min(excess(phi) for phi in candidates)), float(rss_alt)

@@ -202,8 +202,8 @@ def test_criterion_7_nuisance_coverage():
     assert record(7, "nuisance-model coverage", ok,
                   "coverage bands and bias ordering hold" if ok else "; ".join(misses)), (
         "Known honest failure at n=5: with the specified proxy grid the "
-        "region coverage at n=5 is ~90%%; see the n=5 analysis in ROADMAP.md "
-        "(North star item 3, open item 3). Misses: %s" % "; ".join(misses)
+        "region coverage at n=5 is ~90%%; see the n=5 analysis in "
+        "docs/decisions.md (ROADMAP.md open item 3). Misses: %s" % "; ".join(misses)
     )
 
 
@@ -232,7 +232,7 @@ def test_criterion_8_nuisance_type1():
         "Known honest failure at n=5: the size at n=5 is ~8-10%% with the "
         "proxy window phi_hat +/- 10/sqrt(n), and the exact minimum over all "
         "phi gives 5.8-6.7%%, so the excess belongs to the window, not to the "
-        "procedure; see the n=5 analysis in ROADMAP.md (North star item 3, "
+        "procedure; see the n=5 analysis in docs/decisions.md (ROADMAP.md "
         "open item 3). Details: %s" % "; ".join(details)
     )
 
@@ -277,6 +277,29 @@ def test_ball_pointwise_rate_matches_exact_oracle(name, mu, n, reps):
 
     exact = oracles.ball_pointwise_rate(mu, n, 0.05)
     got = rate_of(suite(name), truth="%r/0.0/0.0/0.0/0.0" % mu, n=n, method="pointwise")
+    bound = 4.0 * math.sqrt(exact * (1.0 - exact) / reps) + 1.0 / reps
+    assert abs(got - exact) <= bound, (
+        "%s mu=%g n=%d: rate %.5f, exact %.5f, bound %.5f" % (name, mu, n, got, exact, bound)
+    )
+
+
+INTERVAL_SUITE_CELLS = [
+    ("fig1", mu, 20) for mu in (-0.5, -0.25, 0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5)
+] + [("fig2", mu, n) for n in (5, 10, 20, 50, 200) for mu in (0.0, 1.0)]
+
+
+@pytest.mark.parametrize(
+    "name,mu,n", INTERVAL_SUITE_CELLS, ids=["%s-mu%g-n%d" % c for c in INTERVAL_SUITE_CELLS]
+)
+def test_interval_pointwise_rate_matches_exact_oracle(name, mu, n):
+    # Bonferroni over the 19 cells of 10,000 replicates: 4 standard
+    # errors, plus one replicate for cells whose exact rate is near 0.
+    # Fixed before any run, as for the ball cells.
+    import oracles
+
+    reps = 10_000
+    exact = oracles.interval_pointwise_rate(mu, n, 0.05)
+    got = rate_of(suite(name), truth=repr(mu), n=n, method="pointwise")
     bound = 4.0 * math.sqrt(exact * (1.0 - exact) / reps) + 1.0 / reps
     assert abs(got - exact) <= bound, (
         "%s mu=%g n=%d: rate %.5f, exact %.5f, bound %.5f" % (name, mu, n, got, exact, bound)

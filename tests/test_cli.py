@@ -448,15 +448,18 @@ class TestSimulate:
     def test_bad_scale_exits_2(self, capsys):
         assert main(["simulate", "--suite", "table1", "--scale", "0"]) == 2
 
-    @pytest.mark.parametrize("scale", ["1e-9", "-1", "nan", "inf"])
-    def test_bad_scale_leaves_out_untouched(self, tmp_path, capsys, scale):
-        # The usage error used to truncate an existing --out to 0 bytes.
+    @pytest.mark.parametrize("option,value", [
+        pytest.param("--scale", scale, id=scale) for scale in ("1e-9", "-1", "nan", "inf")
+    ] + [pytest.param("--seed", "-1", id="seed=-1")])
+    def test_bad_scale_leaves_out_untouched(self, tmp_path, capsys, option, value):
+        # The usage error used to truncate an existing --out to 0 bytes; a
+        # negative seed still did, because only the scale was checked first.
         out = tmp_path / "rows.csv"
         out.write_bytes(b"suite,rate\r\nkept,1\n")
-        argv = ["simulate", "--suite", "table1", "--scale", scale, "--out", str(out)]
+        argv = ["simulate", "--suite", "table1", option, value, "--out", str(out)]
         assert main(argv) == 2
         assert out.read_bytes() == b"suite,rate\r\nkept,1\n"
-        assert "scale" in capsys.readouterr().err
+        assert option[2:] in capsys.readouterr().err
 
     def test_unwritable_out_exits_2_before_the_suite_runs(self, tmp_path, capsys, monkeypatch):
         runs = []

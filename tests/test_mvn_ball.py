@@ -286,9 +286,11 @@ class TestDecideBatch:
         assert_batch_matches_reference(stack, 0.05)
 
     def test_split_decisions_exactly_at_alpha(self):
-        # alpha set to each sample's own e-value p-value: the strict rule
-        # must not reject there, and must reject one float above it.  The
-        # batch also runs the pointwise test, which takes alpha < 1/2.
+        # alpha set to each sample's own e-value p-value 1/E: ties reject,
+        # as in every other test here.  The test stays valid, because
+        # Markov's inequality bounds P(E >= 1/alpha) by alpha under the
+        # null.  One float below it does not reject.  The batch also runs
+        # the pointwise test, which takes alpha < 1/2.
         stack = ball_stack(7, 30, 9, (2.0, 0, 0, 0, 0))
         for method in ("split_lrt", "crossfit_lrt"):
             column = mb.BATCH_METHODS.index(method)
@@ -296,9 +298,9 @@ class TestDecideBatch:
                 p = SCALAR_TESTS[method](mb.MvnSample(rows), 0.05).max_p
                 if p == 1.0:
                     continue
-                for alpha in (p, np.nextafter(p, 1.0)):
+                for alpha in (np.nextafter(p, 0.0), p, np.nextafter(p, 1.0)):
                     want = SCALAR_TESTS[method](mb.MvnSample(rows), alpha).reject
-                    assert want == (alpha > p)
+                    assert want == (alpha >= p)
                     if alpha < 0.5:
                         assert mb.decide_batch(rows[None], alpha)[column][0] == want
                     else:

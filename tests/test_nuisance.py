@@ -242,6 +242,7 @@ class TestPointwiseAndLrtTests:
 
         assert dec.max_p == pytest.approx(1.0 - chi2_cdf(stat, 1), abs=1e-12)
         assert dec.reject == (stat >= chi2_quantile(0.95, 1))
+        assert dec.reject == (1.0 - chi2_cdf(stat, 1) <= 0.05)
 
     def test_noiseless_true_null_never_rejects(self):
         # With zero noise RSS_alt = 0, so the decision hinges on the grid
@@ -659,3 +660,27 @@ class TestDecideBatch:
     ):
         x, y = xy_stack(seed, count, n, psi_true, phi, sigma)
         assert_batch_matches_reference(x, y, mode, alpha, m, psi)
+
+
+@pytest.mark.parametrize("n", [5, 10])
+@pytest.mark.parametrize("phi", [1.0, 2.0, 3.0])
+def test_grid_minimum_tends_to_the_exact_window_minimum(n, phi):
+    # The test mode's smallest RSS_null - RSS_alt over the proxy grid is
+    # never below the exact minimum over the window phi_hat +- 10/sqrt(n)
+    # (tests/oracles.py, in mpmath) beyond rounding, and its largest gap
+    # shrinks at least 5-fold as m goes 10 -> 100 -> 1000: by about 10 when
+    # the minimum sits at a window end, 100 inside.  At psi = psi0 = 1.
+    import oracles
+
+    x, y = xy_stack(1000 + n + int(10 * phi), 40, n, phi=phi)
+    half_width = nu.TEST_WIDTH / math.sqrt(n)
+    exact = np.array([oracles.nuisance_window_min_excess(xb, yb, 1.0, half_width)
+                      for xb, yb in zip(x, y)])
+    exact_ratio = exact[:, 0] / exact[:, 1]
+    gaps = []
+    for m in (10, 100, 1000):
+        flag, stat = nu._statistic_rows(x, y, "test", 1.0, 0.05, m, nu.TEST_WIDTH)
+        assert not flag.any()
+        assert (stat["lrt"] >= exact_ratio * (1.0 - 1e-10)).all()
+        gaps.append(np.max(stat["lrt"] - exact_ratio))
+    assert gaps[0] > 5.0 * gaps[1] > 25.0 * gaps[2] > 0.0

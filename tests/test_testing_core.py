@@ -6,7 +6,7 @@ import pytest
 
 from pwreject.alpha_prime import NullSpec, alpha_prime
 from pwreject.distributions import chi2_cdf, chi2_quantile
-from pwreject.testing import decide, lrt_decision_subspace, pointwise_test
+from pwreject.testing import _least_double, decide, lrt_decision_subspace, pointwise_test
 from pwreject.testing import TestDecision as Decision  # alias avoids pytest collection
 
 SPEC = NullSpec(2, 1)
@@ -78,13 +78,21 @@ class TestDecide:
 
 class TestLrtHelper:
     def test_threshold_and_pvalue(self):
+        # The tie sits at the least double whose p-value is at most alpha,
+        # and rejects; the double below it does not.  The chi-square
+        # quantile lies a few ULPs below that double, where the p-value is
+        # above alpha: it rejected there, against its own max p.
         spec = NullSpec(5, 3)
-        cut = chi2_quantile(0.95, 2)
+        cut = _least_double(lambda s: 1.0 - chi2_cdf(s, 2) <= 0.05)
+        assert cut == pytest.approx(chi2_quantile(0.95, 2), rel=1e-12)
         at = lrt_decision_subspace(cut, spec, 0.05)
         assert at.reject  # ties reject
-        assert at.max_p == pytest.approx(0.05, abs=1e-9)
-        below = lrt_decision_subspace(cut - 1e-6, spec, 0.05)
-        assert not below.reject
+        assert at.max_p <= 0.05 and at.max_p == pytest.approx(0.05, abs=1e-9)
+        below = lrt_decision_subspace(math.nextafter(cut, 0.0), spec, 0.05)
+        assert not below.reject and below.max_p > 0.05
+        assert not lrt_decision_subspace(cut - 1e-6, spec, 0.05).reject
+        quantile = lrt_decision_subspace(chi2_quantile(0.95, 2), spec, 0.05)
+        assert quantile.max_p > 0.05 and not quantile.reject
         assert lrt_decision_subspace(0.0, spec, 0.05).max_p == pytest.approx(1.0)
 
     def test_rejects_boundary_spec_and_negative_stat(self):
@@ -117,6 +125,12 @@ class TestLrtHelper:
 
 
 def test_decision_is_frozen():
-    dec = Decision(True, 0.1, 0.2, 3)
+    # reject is not passed: it is max_p <= alpha_prime_used, ties included.
+    dec = Decision(0.1, 0.2, 3)
+    assert dec.reject is True
     with pytest.raises(Exception):
         dec.reject = False
+    assert Decision(0.2, 0.2, 3).reject
+    assert not Decision(math.nextafter(0.2, 1.0), 0.2, 3).reject
+    with pytest.raises(TypeError):
+        Decision(True, 0.1, 0.2, 3)
