@@ -2,21 +2,24 @@
 
 The same 49 calls run on both sides: the seven suites at master seeds 0, 1
 and 2 with scales 0.01 and 0.05, and at seed 7 with scale 0.2.  The parent
-side runs in a temporary ``git worktree`` of ``REV`` (created under
-``TMPDIR``), the change side in this checkout; each side is one child
-process that imports ``pwreject`` from its own ``src``, and the two run at
-the same time.  Every row that differs is printed with both versions; the
-exit status is 1 on any difference and 0 when all 49 calls match.  The
-worktree is removed afterwards, also when a side fails.
+side runs from a ``git archive`` of ``REV`` unpacked under ``TMPDIR``, the
+change side in this checkout; each side is one child process that imports
+``pwreject`` from its own ``src``, and the two run at the same time.  Every
+row that differs is printed with both versions; the exit status is 1 on
+any difference and 0 when all 49 calls match.  The unpacked tree is
+removed afterwards, also when a side fails, and nothing is registered
+under ``.git``.
 
     python3 benchmarks/row_identity.py HEAD~1
 """
 
 import argparse
+import io
 import json
 import os
 import subprocess
 import sys
+import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -70,8 +73,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="row_identity_") as tmp:
         tree = os.path.join(tmp, "parent")
-        subprocess.run(["git", "-C", ROOT, "worktree", "add", "--quiet", "--detach", tree, args.rev],
-                       check=True)
+        archive = subprocess.run(["git", "-C", ROOT, "archive", args.rev + "^{commit}"],
+                                 check=True, stdout=subprocess.PIPE).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tree, filter="data")
         sides = {}
         try:
             sides = {"parent": start_side(tree), "change": start_side(ROOT)}
@@ -80,7 +85,6 @@ def main(argv=None):
             for proc in sides.values():
                 proc.kill()
                 proc.wait()
-            subprocess.run(["git", "-C", ROOT, "worktree", "remove", "--force", tree], check=True)
     lines = differences(parent, change)
     for line in lines:
         print(line)

@@ -124,7 +124,9 @@ def decide_batch(stack, alpha):
     ``cross_fit_lrt_test`` alone take alpha in (0, 1).
     """
     _check_level(alpha, 0.5)
-    stack = np.asarray(stack, dtype=float)
+    # C order makes _row_means add in np.mean's order; the harness and CLI
+    # stacks already have it, so this copies nothing for them.
+    stack = np.ascontiguousarray(stack, dtype=float)
     if stack.ndim != 3 or stack.shape[2] != DIM or stack.shape[1] < 2:
         raise ValueError("need a (B, n, 5) stack with n >= 2")
     if not np.isfinite(stack).all():
@@ -145,7 +147,7 @@ def _statistic_rows(stack, methods):
     sample's values do not depend on the stack around it.
     """
     n = stack.shape[1]
-    mean = stack.mean(axis=1)
+    mean = _row_means(stack)
     proj = _project_rows_to_null(mean)
     stat = {}
     if "pointwise" in methods:
@@ -157,6 +159,18 @@ def _statistic_rows(stack, methods):
         stat["split_lrt"] = log_u1
         stat["crossfit_lrt"] = np.logaddexp(log_u1, log_u2) - math.log(2.0)
     return stat
+
+
+def _row_means(stack):
+    """The mean of each sample of a (B, n, 5) stack, as a (B, 5) array.
+
+    On a C-contiguous stack, or a slice of one along n, einsum adds each
+    component over n in the same sequential order as ``stack.mean(axis=1)``,
+    so the bits are the same.  It runs about four times faster, because
+    numpy's axis reduction steps through n with an inner loop of only five
+    components.
+    """
+    return np.einsum("bnk->bk", stack) / stack.shape[1]
 
 
 def _sq_norms(diff):
@@ -196,8 +210,8 @@ def _split_log_ratio_rows(stack, theta_t):
     if n < 2:
         raise ValueError("need n >= 2 so both splits are nonempty")
     n1 = (n + 1) // 2
-    m1 = stack[:, :n1].mean(axis=1)
-    m2 = stack[:, n1:].mean(axis=1)
+    m1 = _row_means(stack[:, :n1])
+    m2 = _row_means(stack[:, n1:])
     # (m2 - m1) ** 2 equals (m1 - m2) ** 2 exactly, so one sum serves both.
     to_t1, to_t2, between = _sq_norms(np.array((m1 - theta_t, m2 - theta_t, m1 - m2)))
     log_u1 = 0.5 * n1 * (to_t1 - between)

@@ -223,14 +223,16 @@ def _decide(config, columns):
 def _block_length(config):
     """Rows per block, so that the block's arrays fit _BLOCK_FLOATS.
 
-    The nuisance regions hold the (B, m, n) proxy regressors.  The nuisance
-    tests and the or_null model hold about five arrays at a time, each
-    either (B, m) statistics over the test points or (B, C * n) draws of C
-    data columns.  Otherwise the block fits the (B, n, 5) draws of the ball
-    model; interval blocks take the ball model's length.
+    The nuisance regions hold, at their peak, the (B, m, n) proxy regressors
+    g, one (B, m, n) product of them and about six (B, m) arrays: the grid,
+    the RSS coefficients and the region endpoints.  The nuisance tests and
+    the or_null model hold about five arrays at a time, each either (B, m)
+    statistics over the test points or (B, C * n) draws of C data columns.
+    Otherwise the block fits the (B, n, 5) draws of the ball model; interval
+    blocks take the ball model's length.
     """
     if config.mode == "coverage":
-        per_replicate = config.m * config.n
+        per_replicate = config.m * (2 * config.n + 6)
     elif config.model in ("nuisance", "or_null"):
         per_replicate = 5 * max(len(MODELS[config.model].columns) * config.n, config.m)
     else:

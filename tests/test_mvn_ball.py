@@ -325,6 +325,24 @@ class TestDecideBatch:
                 log_e = stat[m][b]
                 assert SCALAR_TESTS[m](s, 0.05).max_p == (math.exp(-log_e) if log_e > 0.0 else 1.0)
 
+    def test_non_contiguous_stack_decides_as_its_c_copy(self, monkeypatch):
+        # A stack whose n axis is the contiguous one (a (B, 5, n) buffer
+        # seen as (B, n, 5)) sums in another order, under einsum and
+        # np.mean alike; decide_batch takes a C copy first, so its
+        # statistics and decisions are those of the C stack.
+        stack = ball_stack(9, 12, 101, (1.0, 0.2, 0, 0.1, 0))
+        view = np.ascontiguousarray(stack.transpose(0, 2, 1)).transpose(0, 2, 1)
+        assert not view.flags.c_contiguous and np.array_equal(view, stack)
+        assert not np.array_equal(view.mean(axis=1), stack.mean(axis=1))
+        stats = []
+        statistic_rows = mb._statistic_rows
+        monkeypatch.setattr(mb, "_statistic_rows",
+                            lambda *args: stats.append(statistic_rows(*args)) or stats[-1])
+        on_view, on_copy = mb.decide_batch(view, 0.05), mb.decide_batch(stack, 0.05)
+        assert [h.tolist() for h in on_view] == [h.tolist() for h in on_copy]
+        assert [stats[0][m].tolist() for m in mb.BATCH_METHODS] == [
+            stats[1][m].tolist() for m in mb.BATCH_METHODS]
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_draws_raise(self, bad):
         stack = ball_stack(2, 3, 4, (0, 0, 0, 0, 0))
@@ -384,3 +402,23 @@ class TestDecideBatch:
     def test_matches_scalar_tests_hypothesis(self, seed, count, n, head, tail, alpha):
         stack = ball_stack(seed, count, n, (head, 0.0, 0.0, tail, 0.0))
         assert_batch_matches_reference(stack, alpha)
+
+
+class TestRowMeans:
+    """_row_means is np.mean(axis=1) bit for bit, on every shape the model
+    sums: a numpy release that changed einsum's summation order would fail
+    here before it moved a suite row."""
+
+    @pytest.mark.parametrize("count, n", [
+        (1, 2), (3, 2), (5, 7), (5, 8), (5, 9), (4, 64), (4, 1001),
+        (1, 10**4),  # the one-row stack of pwreject test on a 1e4-row file
+        (104, 1000),  # a full-scale table2 and fig5 block
+    ])
+    def test_equals_np_mean_on_the_stack_and_both_halves(self, count, n):
+        for scale in (1.0, 1e3):
+            stack = ball_stack(n, count, n, (1.0, -0.5, 0.2, 0.0, 3.0)) * scale
+            n1 = (n + 1) // 2
+            for part in (stack, stack[:, :n1], stack[:, n1:]):
+                got = mb._row_means(part)
+                assert got.shape == (count, mb.DIM)
+                assert np.array_equal(got, part.mean(axis=1))

@@ -565,6 +565,24 @@ class TestDecideBatch:
                 tracemalloc.stop()
             assert peak < 2 * simulation._BLOCK_FLOATS * 8
 
+    def test_coverage_peak_fits_the_block_bound(self):
+        # Every full-scale fig3 block holds g, one (B, m, n) product of it
+        # and a few (B, m) arrays, which _block_length sizes to fit
+        # _BLOCK_FLOATS (4 MB).  Blocks sized by g alone peaked at 8.0 to
+        # 11.7 MB, from n = 200 down to n = 5.
+        sizes = {(kw["n"], kw["m"]) for kw in simulation._suite_configs("fig3", 1.0)}
+        for n, m in sorted(sizes):
+            cfg = simulation.ExperimentConfig("nuisance", "coverage", (1.0, 2.0), n, 10, m, 0)
+            x, y = xy_stack(4, simulation._block_length(cfg), n)
+            nu.decide_batch(x, y, "coverage", 0.05, m, 1.0)
+            tracemalloc.start()
+            try:
+                nu.decide_batch(x, y, "coverage", 0.05, m, 1.0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= simulation._BLOCK_FLOATS * 8, (n, m)
+
     def test_membership_at_interval_endpoints(self):
         # psi exactly at an endpoint of the region is inside (closed
         # intervals); one float beyond it is outside unless another

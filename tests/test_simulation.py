@@ -248,12 +248,13 @@ class TestBlocks:
     def test_nuisance_block_bounds_its_arrays(self, monkeypatch):
         # Every fig3 and fig4 setting at full scale: the block's arrays fit
         # _BLOCK_FLOATS, and one more replicate would not.  They are the
-        # (B, m, n) proxy regressors of the regions (fig3) and five (B, m)
-        # statistics arrays of the tests (fig4, m = 100 > 2 n).
+        # (B, m, n) proxy regressors of the regions, one product of them
+        # and six (B, m) arrays (fig3), and five (B, m) statistics arrays
+        # of the tests (fig4, m = 100 > 2 n).
         kwargs = simulation._suite_configs("fig3", 1.0) + simulation._suite_configs("fig4", 1.0)
         for cfg in (ExperimentConfig(master_seed=0, **kw) for kw in kwargs):
             block = simulation._block_length(cfg)
-            floats = cfg.m * cfg.n if cfg.mode == "coverage" else 5 * cfg.m
+            floats = cfg.m * (2 * cfg.n + 6) if cfg.mode == "coverage" else 5 * cfg.m
             assert block * floats <= simulation._BLOCK_FLOATS
             assert (block + 1) * floats > simulation._BLOCK_FLOATS
         # The harness hands the batch arrays of that many rows.
@@ -332,13 +333,13 @@ class TestBlocks:
 
 
 def block_floats(cfg):
-    """Floats per replicate that _block_length fits in _BLOCK_FLOATS: the
-    (m, n) proxy regressors of the nuisance regions; five arrays of the
-    larger of the draws of the data columns and the m test-point
-    statistics for the nuisance tests and or_null; the (n, 5) draws
-    otherwise."""
+    """Floats per replicate that _block_length fits in _BLOCK_FLOATS: two
+    (m, n) regressor tensors and six m-point arrays for the nuisance
+    regions; five arrays of the larger of the draws of the data columns and
+    the m test-point statistics for the nuisance tests and or_null; the
+    (n, 5) draws otherwise."""
     if cfg.mode == "coverage":
-        return cfg.m * cfg.n
+        return cfg.m * (2 * cfg.n + 6)
     if cfg.model in ("nuisance", "or_null"):
         return 5 * max(len(MODELS[cfg.model].columns) * cfg.n, cfg.m)
     return cfg.n * mvn_ball.DIM
