@@ -143,12 +143,11 @@ def per_dataset(config, columns, rows):
             out.append([linear_or.or_null_test(data, ALPHA, config.m // 2).reject])
         elif config.model == "nuisance":
             data = nuisance.XYData(*cols)
-            mode, psi = simulation._nuisance_target(config)
-            if mode == "coverage":
-                out.append([region(data, ALPHA, config.m).contains(psi) for region in
-                            (nuisance.psi_region_F, nuisance.psi_region_LRT)])
+            if config.mode == "coverage":
+                out.append([region(data, ALPHA, config.m).contains(config.truth[0])
+                            for region in (nuisance.psi_region_F, nuisance.psi_region_LRT)])
             else:
-                out.append([test(data, psi, ALPHA, config.m).reject for test in
+                out.append([test(data, simulation._PSI0, ALPHA, config.m).reject for test in
                             (nuisance.psi_pointwise_test, nuisance.psi_lrt_test)])
         else:
             sample = mvn_ball.MvnSample(cols[0])
@@ -188,8 +187,10 @@ def closest_call(config, columns):
         stat = {"pointwise": linear_or._statistic_rows(*columns, config.m // 2)[0]}
         cut = {"pointwise": sf_cut(linear_or.NULL_SPEC, n - 3)}
     else:
-        mode, psi = simulation._nuisance_target(config)
-        width = nuisance.REGION_WIDTH if mode == "coverage" else nuisance.TEST_WIDTH
+        if config.mode == "coverage":
+            mode, psi, width = "coverage", config.truth[0], nuisance.REGION_WIDTH
+        else:
+            mode, psi, width = "test", simulation._PSI0, nuisance.TEST_WIDTH
         flag, stat = nuisance._statistic_rows(*columns, mode, psi, ALPHA, config.m, width)
         if mode == "coverage":
             return {name: float(np.min(np.where(

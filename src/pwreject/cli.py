@@ -166,7 +166,7 @@ def build_parser():
     p.add_argument("--data", required=True)
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--m", type=int, default=50)
-    p.add_argument("--width", type=float, default=5.0,
+    p.add_argument("--width", type=float, default=nuisance.REGION_WIDTH,
                    help="proxy window half-width multiplier (times n^-1/2)")
     p.add_argument("--out", default="-")
     p.add_argument("--format", choices=("csv", "json"), default="csv")

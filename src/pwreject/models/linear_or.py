@@ -105,13 +105,23 @@ def decide_batch(x1, x2, y, alpha, m_prime):
 
     ``x1``, ``x2`` and ``y`` are (B, n) arrays; row b holds dataset b.
     """
+    x1 = np.asarray(x1, dtype=float)
+    x2 = np.asarray(x2, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if not (x1.shape == x2.shape == y.shape) or y.ndim != 2:
+        raise ValueError("x1, x2, y must be (B, n) arrays of equal shape")
+    if y.shape[1] < 4:
+        raise ValueError("need n >= 4 observations")
+    if not (np.isfinite(x1).all() and np.isfinite(x2).all() and np.isfinite(y).all()):
+        raise ValueError("x1, x2 and y must be finite (no nan or inf)")
     f_stat, _ = _statistic_rows(x1, x2, y, m_prime)
     ap = alpha_prime(alpha, NULL_SPEC)
-    return rejections(f_stat, p_value, ap, NULL_SPEC, np.shape(y)[-1] - 3)
+    return rejections(f_stat, p_value, ap, NULL_SPEC, y.shape[1] - 3)
 
 
 def _statistic_rows(x1, x2, y, m_prime):
-    """(F, outside) for each row of a (B, n) stack.
+    """(F, outside) for each row of a (B, n) stack of checked float arrays
+    (``RegressionData`` or ``decide_batch`` checks them).
 
     ``outside`` marks the rows whose MLE lies outside the null; the others
     keep F = 0 (max p 1).  F is the smallest over the 2 m' boundary points.
@@ -120,18 +130,9 @@ def _statistic_rows(x1, x2, y, m_prime):
     v**2 (``_ols3_rows``): two nonnegative terms, with no cancellation.  The
     sums are along the last axis, so a row's F is that of its one-row stack.
     """
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if not (x1.shape == x2.shape == y.shape) or y.ndim != 2:
-        raise ValueError("x1, x2, y must be (B, n) arrays of equal shape")
-    n = y.shape[1]
-    if n < 4:
-        raise ValueError("need n >= 4 observations")
     if m_prime < 1:
         raise ValueError("m_prime must be >= 1")
-    if not (np.isfinite(x1).all() and np.isfinite(x2).all() and np.isfinite(y).all()):
-        raise ValueError("x1, x2 and y must be finite (no nan or inf)")
+    n = y.shape[1]
     b1, b2, rss_alt, s11, r, e22 = _ols3_rows(x1, x2, y)
     out = (b1 > 0.0) & (b2 > 0.0)
     b1, b2, s11, r, e22 = (v[out, None] for v in (b1, b2, s11, r, e22))

@@ -24,7 +24,6 @@ null, on which the pointwise test equals the traditional LRT, is a fixture
 there too (``tests/references.py``).
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -50,9 +49,8 @@ BATCH_METHODS = ("pointwise", "split_lrt", "crossfit_lrt")
 class MvnSample:
     """An (n, 5) sample.
 
-    ``rows`` is a private read-only copy of the caller's array, so the
-    sample mean is computed once, on first use, and stays valid.  It is
-    read-only too.
+    ``rows`` is a private read-only copy of the caller's array, so a later
+    change to the caller's array does not reach the sample's tests.
     """
 
     rows: np.ndarray
@@ -71,15 +69,6 @@ class MvnSample:
     @property
     def n(self):
         return self.rows.shape[0]
-
-    @functools.cached_property
-    def mean(self):
-        return _read_only(self.rows.mean(axis=0))
-
-
-def _read_only(arr):
-    arr.flags.writeable = False
-    return arr
 
 
 def ball_pointwise_test(sample, alpha):

@@ -5,22 +5,21 @@ master_seed, r), generates one dataset under the setting's truth, and
 applies every method of the setting's model to that same dataset at
 level alpha = 0.05; the nuisance tests test psi0 = 1.  A setting's
 decisions depend only on its **decision key** (``_decision_key``): the
-model, n and m, and for the nuisance model also the mode (test or
-coverage) and the psi it reads (psi0 when testing, the true psi for
-coverage).  ``run_suite`` runs the settings that share a key as one
-group: their replicates form one sequence of rows, setting after setting,
-generated serially and decided in blocks of consecutive rows that may
-span settings; ``run_experiment`` is the group of one setting.  Every
+model, n and m, and for a coverage setting also the true psi, which its
+regions must cover.  ``run_suite`` runs the settings that share a key as
+one group: their replicates form one sequence of rows, setting after
+setting, generated serially and decided in blocks of consecutive rows that
+may span settings; ``run_experiment`` is the group of one setting.  Every
 model takes one path: each data column carries one standard normal per
 observation, so each row's stream writes its replicate in one run of
 standard normals straight into its row of one (B, columns * n) array; the
 block's data columns are formed from it at once with the (B, T) array of
 the row truths, and the stack is handed to one decision call.  What the
-harness knows of each model (methods, minimum n, truth length, columns)
-is the table :data:`pwreject.models.MODELS`.  The streams' seed words,
-and each setting's seed in a suite, come from the cached block hash of
-:mod:`pwreject.distributions`.  The ball, nuisance and or_null models
-decide the whole stack at once
+harness knows of each model (methods, minimum n, truth length, columns,
+legal m, arrays per block) is the table :data:`pwreject.models.MODELS`.
+The streams' seed words, and each setting's seed in a suite, come from
+the cached block hash of :mod:`pwreject.distributions`.  The ball,
+nuisance and or_null models decide the whole stack at once
 (:func:`pwreject.models.mvn_ball.decide_batch` on the (B, n, 5) draws,
 :func:`pwreject.models.nuisance.decide_batch` on the (B, n) x and y,
 :func:`pwreject.models.linear_or.decide_batch` on the (B, n) x1, x2 and
@@ -34,7 +33,6 @@ or the group.
 
 import math
 import operator
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,15 +80,9 @@ class ExperimentConfig:
         if self.n < model.min_n:
             raise ValueError("n=%d is below the %r model minimum %d"
                              % (self.n, self.model, model.min_n))
-        if self.model == "or_null" and (self.m < 2 or self.m % 2):
-            raise ValueError("the 'or_null' model needs an even m >= 2, got %r" % (self.m,))
-        if self.model == "nuisance" and self.m < 1:
-            raise ValueError("the 'nuisance' model needs m >= 1, got %r" % (self.m,))
-        # interval tests over the continuum [0, 1], ball at one projection point.
-        if self.model == "interval" and self.m != 0:
-            raise ValueError("the 'interval' model needs m = 0, got %r" % (self.m,))
-        if self.model == "ball" and self.m != 1:
-            raise ValueError("the 'ball' model needs m = 1, got %r" % (self.m,))
+        rule, legal = model.m_rule
+        if not legal(self.m):
+            raise ValueError("the %r model needs %s, got %r" % (self.model, rule, self.m))
 
     @property
     def methods(self):
@@ -103,16 +95,13 @@ class ExperimentResult:
     """Per-method rates and margins of one setting.
 
     ``flagged_replicates`` counts the replicates flagged as degenerate,
-    which count for no method.  ``wall_time`` is the seconds the setting
-    took; a setting run in a group (``run_suite``) reports its share of the
-    group's time, in proportion to its replicates.
+    which count for no method.
     """
 
     config: ExperimentConfig
     rates: dict
     margins: dict
     flagged_replicates: int
-    wall_time: float
 
 
 def margin_of_error(rate, count):
@@ -176,13 +165,6 @@ def _stack(configs, lo, size):
     return _columns(model, truth, z)
 
 
-def _nuisance_target(config):
-    """The ``nuisance.decide_batch`` mode of a nuisance setting, and the psi it reads."""
-    if config.mode == "coverage":
-        return "coverage", config.truth[0]
-    return "test", _PSI0
-
-
 def _decision_key(config):
     """Everything of a setting that enters its decisions.
 
@@ -190,8 +172,8 @@ def _decision_key(config):
     count, so their replicates are decided along one sequence of blocks.
     """
     key = (config.model, config.n, config.m)
-    if config.model == "nuisance":
-        key += _nuisance_target(config)
+    if config.mode == "coverage":
+        key += (config.truth[0],)  # the true psi, which the regions must cover
     return key
 
 
@@ -206,8 +188,9 @@ def _decide(config, columns):
     if config.model == "ball":
         return mvn_ball.decide_batch(columns[0], _ALPHA), False
     if config.model == "nuisance":
-        mode, psi = _nuisance_target(config)
-        return nuisance.decide_batch(*columns, mode, _ALPHA, config.m, psi)
+        if config.mode == "coverage":
+            return nuisance.decide_batch(*columns, "coverage", _ALPHA, config.m, config.truth[0])
+        return nuisance.decide_batch(*columns, "test", _ALPHA, config.m, _PSI0)
     if config.model == "or_null":
         # or_null has one method, the pointwise test.
         return [linear_or.decide_batch(*columns, _ALPHA, config.m // 2)], False
@@ -225,18 +208,17 @@ def _block_length(config):
 
     The nuisance regions hold, at their peak, the (B, m, n) proxy regressors
     g, one (B, m, n) product of them and about six (B, m) arrays: the grid,
-    the RSS coefficients and the region endpoints.  The nuisance tests and
-    the or_null model hold about five arrays at a time, each either (B, m)
-    statistics over the test points or (B, C * n) draws of C data columns.
-    Otherwise the block fits the (B, n, 5) draws of the ball model; interval
-    blocks take the ball model's length.
+    the RSS coefficients and the region endpoints.  Any other decision holds
+    its model's ``block_arrays`` arrays at a time, each either (B, m)
+    statistics over the test points or (B, C * n) draws of C data columns:
+    five for the nuisance tests and or_null, the (B, n, 5) draws alone for
+    ball, and five (B, n) arrays for interval, the ball model's length.
     """
     if config.mode == "coverage":
         per_replicate = config.m * (2 * config.n + 6)
-    elif config.model in ("nuisance", "or_null"):
-        per_replicate = 5 * max(len(MODELS[config.model].columns) * config.n, config.m)
     else:
-        per_replicate = config.n * mvn_ball.DIM
+        model = MODELS[config.model]
+        per_replicate = model.block_arrays * max(len(model.columns) * config.n, config.m)
     return max(1, _BLOCK_FLOATS // per_replicate)
 
 
@@ -247,7 +229,6 @@ def _run_settings(configs):
     decided in blocks that may span settings; each setting's counts are
     read from its slice of the row-aligned hits.
     """
-    start_time = time.perf_counter()
     key = configs[0]
     total = sum(config.replicates for config in configs)
     block = _block_length(key)
@@ -256,7 +237,6 @@ def _run_settings(configs):
     for lo in range(0, total, block):
         hi = min(lo + block, total)
         hits[:, lo:hi], flagged[lo:hi] = _decide(key, _stack(configs, lo, hi - lo))
-    wall_time = time.perf_counter() - start_time
     results, lo = [], 0
     for config in configs:
         hi = lo + config.replicates
@@ -266,8 +246,7 @@ def _run_settings(configs):
         rates = {m: int(np.count_nonzero(hits[i, lo:hi])) / effective
                  for i, m in enumerate(config.methods)}
         margins = {m: margin_of_error(rates[m], effective) for m in config.methods}
-        results.append(ExperimentResult(config, rates, margins, config.replicates - effective,
-                                        wall_time * config.replicates / total))
+        results.append(ExperimentResult(config, rates, margins, config.replicates - effective))
         lo = hi
     return results
 

@@ -149,19 +149,20 @@ def project_to_null(ybar):
 
 def mvn_simple_p_value(sample, theta_t):
     """Exact LRT p-value for H0: theta = theta_t under known I_5 covariance."""
-    stat = sample.n * float(np.sum((sample.mean - np.asarray(theta_t)) ** 2))
-    return 1.0 - chi2_cdf(stat, sample.mean.size)
+    ybar = sample.rows.mean(axis=0)
+    stat = sample.n * float(np.sum((ybar - np.asarray(theta_t)) ** 2))
+    return 1.0 - chi2_cdf(stat, ybar.size)
 
 
 def subspace_neg2_log_lambda(sample):
     """Exact -2 log LRT statistic for the subspace null: n*(ybar4^2 + ybar5^2)."""
-    ybar = sample.mean
+    ybar = sample.rows.mean(axis=0)
     return sample.n * float(ybar[3] ** 2 + ybar[4] ** 2)
 
 
 def subspace_pointwise_test(sample, alpha):
     """Pointwise test of the boundaryless null {theta4 = theta5 = 0}."""
-    p = mvn_simple_p_value(sample, project_to_subspace(sample.mean))
+    p = mvn_simple_p_value(sample, project_to_subspace(sample.rows.mean(axis=0)))
     return decide(p, SUBSPACE_SPEC, alpha, 1)
 
 

@@ -108,12 +108,14 @@ class TestRunExperiment:
         # all used to run the same 2-point test under different m labels.
         or_null = dict(model="or_null", truth=(1.0, 0.0))
         for m in (-2, 0, 1, 3, 11):
-            with pytest.raises(ValueError, match="even m >= 2"):
+            with pytest.raises(ValueError) as err:
                 config(m=m, **or_null)
+            assert str(err.value) == "the 'or_null' model needs an even m >= 2, got %d" % m
         assert config(m=2, **or_null).m == 2
         nuisance_kw = dict(model="nuisance", truth=(1.0, 2.0))
-        with pytest.raises(ValueError, match="m >= 1"):
+        with pytest.raises(ValueError) as err:
             config(m=0, **nuisance_kw)
+        assert str(err.value) == "the 'nuisance' model needs m >= 1, got 0"
         assert config(m=1, **nuisance_kw).m == 1
         # interval tests over the continuum and ball at one point; any other
         # m used to run the same test and be written to the CSV m column.
@@ -425,11 +427,15 @@ class TestGroups:
         assert len(seen) == calls
         assert sum(seen) == 5 * len(simulation._suite_configs(suite, 0.0005))
 
-    def test_wall_time_is_the_row_share_of_the_group(self):
-        configs = group("fig5", 0.0005, 30)
-        results = simulation._run_settings(configs)
-        times = [r.wall_time for r in results]
-        assert times[0] > 0 and times == [times[0]] * len(configs)
+    @pytest.mark.parametrize("suite, groups", [
+        ("table1", 10), ("table2", 5), ("fig1", 1), ("fig2", 5), ("fig3", 6), ("fig4", 2),
+        ("fig5", 6),
+    ])
+    def test_decision_groups_per_suite(self, suite, groups):
+        # Full scale: or_null per (n, m), ball and interval per n, the
+        # nuisance regions per (n, psi) and the nuisance tests per n.
+        configs = simulation._suite_settings(suite, 0, 1.0)
+        assert len({simulation._decision_key(cfg) for cfg in configs}) == groups
 
 
 def reference_draw(cfg, g):
