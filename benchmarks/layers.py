@@ -34,8 +34,11 @@ runs at in perfbench's workloads (fig1, in no workload, at fig2's), and
   master seed ``--seed`` + 1 + k, so the seed-word cache is as cold as in a
   perfbench round; both must give the same rows.
 - ``cli``: ``cli._load_columns`` on 1e3- and 1e4-row files of each
-  model's columns, in microseconds per row, and ``build_parser`` plus
-  ``parse_args`` on one ``test`` command line, cold and warm.
+  model's columns, in microseconds per row; ``build_parser`` plus
+  ``parse_args`` on one ``test`` command line, cold and warm; and
+  ``confreg``: ``nuisance.psi_region_F`` at ``pwreject confreg``'s
+  defaults on 1e3- and 1e4-row datasets y = 2x + 4 + noise, in
+  microseconds per call, with the tracemalloc peak of one call in MB.
 
 A cold call starts with every cache emptied (alpha', the quantiles, the
 stream seed words and the parser); a warm call repeats the previous one.
@@ -54,6 +57,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -281,7 +285,28 @@ def cli_section(seed, repeats):
     argv = ["test", "--model", "ball", "--data", path]
     parse = lambda: cli.build_parser().parse_args(argv)  # noqa: E731
     return {"load_columns": load, "build_and_parse": {
-        "cold_us": median_us(cold(parse), repeats), "warm_us": median_us(parse, repeats)}}
+        "cold_us": median_us(cold(parse), repeats), "warm_us": median_us(parse, repeats)},
+        "confreg": confreg_rows(seed, repeats)}
+
+
+def confreg_rows(seed, repeats):
+    """``psi_region_F`` at confreg's defaults on each CSV_ROWS-row y = 2x + 4 + noise."""
+    rng = np.random.default_rng(seed)
+    args = cli.build_parser().parse_args(["confreg", "--data", "-"])
+    rows = []
+    for n in CSV_ROWS:
+        x = rng.standard_normal(n)
+        data = nuisance.XYData(x, 2.0 * x + 4.0 + rng.standard_normal(n))
+        region = lambda: nuisance.psi_region_F(data, args.alpha, args.m, args.width)  # noqa: E731
+        us = median_us(region, repeats)
+        tracemalloc.start()
+        try:
+            region()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows.append({"rows": n, "m": args.m, "us_per_call": us, "peak_mb": round(peak / 2**20, 3)})
+    return rows
 
 
 def main(argv=None):

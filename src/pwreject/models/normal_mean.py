@@ -59,13 +59,16 @@ class UnivariateSample:
     def n(self):
         return self.values.size
 
+    # The same sums and divisions as values.mean() and values.std(ddof=1),
+    # so the same bits, without numpy's _methods wrappers around them.
     @functools.cached_property
     def mean(self):
-        return float(self.values.mean())
+        return float(np.add.reduce(self.values)) / self.n
 
     @functools.cached_property
     def sd(self):
-        return float(self.values.std(ddof=1))
+        d = self.values - self.mean
+        return math.sqrt(float(np.add.reduce(d * d)) / (self.n - 1))
 
 
 def t_p_value(sample, mu0):

@@ -55,6 +55,11 @@ BATCH_METHODS = ("pointwise", "lrt")
 # Proxy window half-widths, in units of n**-0.5: regions, then tests.
 REGION_WIDTH = 5.0
 TEST_WIDTH = 10.0
+# Floats of the proxy regressors g a region forms at a time (512 KB): as
+# many proxy points as fit, and at least one, so that g and one product of
+# it (1 MB) stay in a 2 MB per-core L2 cache.  Each a[b, t] and b[b, t] is
+# the same sum along n whatever the slice, so the endpoints keep their bits.
+_REGRESSOR_FLOATS = 2**16
 
 
 class DegenerateFitError(ValueError):
@@ -273,7 +278,8 @@ def _statistic_rows(x, y, mode, psi0, alpha, m, width_mult):
     b0)**2, on (B, m) arrays.  In ``mode`` "coverage": the
     ``_endpoints`` of the method's region at level alpha, with
     RSS_null(psi0, phi_t) = a*psi0**2 - 2*b*psi0 + c at each proxy point,
-    from the (B, m, n) regressors g = phi_t * x + phi_t**2.
+    from the regressors g = phi_t * x + phi_t**2, formed (B, k, n) for k
+    proxy points at a time (``_REGRESSOR_FLOATS``).
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -286,10 +292,14 @@ def _statistic_rows(x, y, mode, psi0, alpha, m, width_mult):
         excess = (sxx[:, None] * slope_gap**2 + n * level_gap**2).min(axis=1)
         ratio = _excess_ratio(excess, rss_alt)
         return flag, {"pointwise": ratio * ((n - 2) / 2.0), "lrt": ratio}
-    g = grid[:, :, None] * x[:, None, :]
-    g += (grid * grid)[:, :, None]
-    a = np.sum(g * g, axis=2)
-    b = np.sum(y[:, None, :] * g, axis=2)
+    a, b = np.empty_like(grid), np.empty_like(grid)
+    k = max(1, _REGRESSOR_FLOATS // y.size)
+    for lo in range(0, m, k):
+        cols = grid[:, lo:lo + k]
+        g = cols[:, :, None] * x[:, None, :]
+        g += (cols * cols)[:, :, None]
+        a[:, lo:lo + k] = np.sum(g * g, axis=2)
+        b[:, lo:lo + k] = np.sum(y[:, None, :] * g, axis=2)
     c = np.sum(y * y, axis=1)
     return flag, {name: _endpoints(a, b, c, rss_alt * _region_rss_factor(name, alpha, n))
                   for name in BATCH_METHODS}

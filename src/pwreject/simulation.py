@@ -206,9 +206,11 @@ def _decide(config, columns):
 def _block_length(config):
     """Rows per block, so that the block's arrays fit _BLOCK_FLOATS.
 
-    The nuisance regions hold, at their peak, the (B, m, n) proxy regressors
-    g, one (B, m, n) product of them and about six (B, m) arrays: the grid,
-    the RSS coefficients and the region endpoints.  Any other decision holds
+    The nuisance regions are sized as if they held the whole (B, m, n)
+    proxy regressors g, one (B, m, n) product of them and about six (B, m)
+    arrays: the grid, the RSS coefficients and the region endpoints.  They
+    sum g one slice of ``nuisance._REGRESSOR_FLOATS`` floats at a time, so
+    this is an upper bound on what they hold.  Any other decision holds
     its model's ``block_arrays`` arrays at a time, each either (B, m)
     statistics over the test points or (B, C * n) draws of C data columns:
     five for the nuisance tests and or_null, the (B, n, 5) draws alone for

@@ -39,3 +39,9 @@ def test_closest_call_is_finite_on_every_perfbench_group():
         calls = layers.closest_call(configs[0], simulation._stack(configs, 0, rows))
         assert list(calls) == list(configs[0].methods), suite
         assert all(0.0 <= value < math.inf for value in calls.values()), (suite, calls)
+
+
+def test_confreg_rows_are_finite():
+    rows = layers.confreg_rows(0, 1)
+    assert [row["rows"] for row in rows] == list(layers.CSV_ROWS)
+    assert all(0.0 < row[key] < math.inf for row in rows for key in ("us_per_call", "peak_mb"))

@@ -548,6 +548,47 @@ class TestDecideBatch:
             assert tests["pointwise"][row] == pytest.approx(f_min, rel=1e-12)
             assert tests["lrt"][row] == pytest.approx(f_min * 2.0 / 15, rel=1e-12)
 
+    @pytest.mark.parametrize("k", [1, 4, 9, 64])
+    def test_regressor_slices_keep_the_bits(self, monkeypatch, k):
+        # The regions sum g over k proxy points at a time: one point, a
+        # ragged last slice (9 = 4 + 4 + 1), and the whole grid in one
+        # slice (k >= m), which the test above checks against the
+        # per-dataset np.outer regressors.  Every slicing gives the same
+        # endpoints and hits, bit for bit.
+        x, y = xy_stack(5, 60, 17)
+        psis = (0.8, 0.95, 1.0, 1.05, 1.2)
+
+        def regions_and_hits(floats):
+            monkeypatch.setattr(nu, "_REGRESSOR_FLOATS", floats)
+            _, regions = nu._statistic_rows(x, y, "coverage", None, 0.05, 9, nu.REGION_WIDTH)
+            hits = [[h.tolist() for h in nu.decide_batch(x, y, "coverage", 0.05, 9, psi)[0]]
+                    for psi in psis]
+            return regions, hits
+
+        whole, whole_hits = regions_and_hits(9 * x.size)
+        sliced, sliced_hits = regions_and_hits(k * x.size + x.size - 1)
+        for name in nu.BATCH_METHODS:
+            assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(sliced[name], whole[name]))
+        assert sliced_hits == whole_hits
+        assert {v for hits in whole_hits for h in hits for v in h} == {True, False}
+
+    @pytest.mark.parametrize("m", [50, 300])
+    def test_region_peak_does_not_grow_with_the_grid(self, m):
+        # One 2e4-row dataset: the whole (m, n) regressors and one product
+        # of them peaked at 15.3 MiB for m = 50 and 91.6 MiB for m = 300; a
+        # slice of _REGRESSOR_FLOATS floats keeps the region under 2 MiB.
+        g = RngStream(8).generator
+        x = g.standard_normal(20_000)
+        data = nu.XYData(x, 2.0 * x + 4.0 + g.standard_normal(20_000))
+        nu.psi_region_F(data, 0.05, m)
+        tracemalloc.start()
+        try:
+            nu.psi_region_F(data, 0.05, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, peak
+
     def test_test_mode_peak_holds_a_few_statistic_arrays(self):
         # The tests read RSS_null - RSS_alt from the fit on (B, m) arrays,
         # five of which a full-scale fig4 block fits in _BLOCK_FLOATS, so
@@ -566,10 +607,12 @@ class TestDecideBatch:
             assert peak < 2 * simulation._BLOCK_FLOATS * 8
 
     def test_coverage_peak_fits_the_block_bound(self):
-        # Every full-scale fig3 block holds g, one (B, m, n) product of it
-        # and a few (B, m) arrays, which _block_length sizes to fit
-        # _BLOCK_FLOATS (4 MB).  Blocks sized by g alone peaked at 8.0 to
-        # 11.7 MB, from n = 200 down to n = 5.
+        # _block_length sizes a fig3 block as if it held the whole g, one
+        # (B, m, n) product of it and a few (B, m) arrays within
+        # _BLOCK_FLOATS (4 MB).  The regions form g a slice of
+        # _REGRESSOR_FLOATS at a time, so this is an upper bound.  Blocks
+        # sized by the whole g alone peaked at 8.0 to 11.7 MB, from n = 200
+        # down to n = 5.
         sizes = {(kw["n"], kw["m"]) for kw in simulation._suite_configs("fig3", 1.0)}
         for n, m in sorted(sizes):
             cfg = simulation.ExperimentConfig("nuisance", "coverage", (1.0, 2.0), n, 10, m, 0)
